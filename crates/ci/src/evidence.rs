@@ -98,11 +98,7 @@ pub const E7NET_SHARDS: usize = 4;
 /// FNV-1a 64-bit digest, rendered as 16 hex digits.
 #[must_use]
 pub fn fnv1a_64(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = afta_sim::fnv1a_64(afta_sim::FNV_OFFSET, text.as_bytes());
     format!("{hash:016x}")
 }
 

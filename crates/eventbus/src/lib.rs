@@ -361,34 +361,6 @@ impl<E: Clone + Send + Sync + 'static> TypedTopic<E> {
         self.lost.fetch_add(d.lost, Ordering::Relaxed);
         d
     }
-
-    /// Quota-aware publish: delivers `event` only if no live subscriber
-    /// mailbox is full, otherwise hands the event back untouched.
-    ///
-    /// Where [`TypedTopic::publish_many`] treats a full mailbox as the
-    /// *subscriber's* problem (the event is lost and counted), this
-    /// treats it as the *publisher's* problem — the backpressure
-    /// primitive multi-tenant admission control needs: a tenant whose
-    /// bounded mailbox is full gets its traffic rejected at the door
-    /// (so it can be told to retry later) instead of silently shedding.
-    ///
-    /// The fullness check and the delivery are two steps; with a single
-    /// producer per topic (the per-tenant-mailbox pattern) the check is
-    /// exact, with concurrent producers it is advisory and a racing
-    /// publish can still shed.
-    fn try_publish(&self, event: E) -> Result<Delivery, E> {
-        {
-            let subs = self.subs.read();
-            if subs
-                .iter()
-                .filter(|s| !s.closed.load(Ordering::Acquire))
-                .any(|s| s.ring.len() >= s.ring.capacity())
-            {
-                return Err(event);
-            }
-        }
-        Ok(self.publish_many(std::iter::once(event)))
-    }
 }
 
 impl<E> Drop for TypedTopic<E> {
@@ -626,33 +598,6 @@ impl Bus {
         d.subs_reached
     }
 
-    /// Publishes `event` only if every live subscriber mailbox for `E`
-    /// has room; on success returns the number of pull-subscribers
-    /// reached, on overflow returns the event back unchanged so the
-    /// caller can reject-with-retry instead of losing it.
-    ///
-    /// This is the per-tenant quota primitive: give the tenant a
-    /// bounded mailbox via [`Bus::subscribe_with_capacity`] and gate its
-    /// inbound traffic through `try_publish` — a tenant that lags past
-    /// its quota is throttled at admission, and no event is ever
-    /// counted in [`TopicStats::lost`] on this path.
-    ///
-    /// With several concurrent publishers on one topic the room check is
-    /// advisory (a racing publish may still shed); with one publisher
-    /// per topic it is exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(event)` when a live subscriber mailbox is full.
-    pub fn try_publish<E: Clone + Send + Sync + 'static>(&self, event: E) -> Result<usize, E> {
-        let Some(topic) = self.inner.get_topic::<E>() else {
-            return Ok(0);
-        };
-        let d = topic.try_publish(event)?;
-        self.inner.mirror(&d);
-        Ok(d.subs_reached)
-    }
-
     /// A cached handle onto the topic for events of type `E` (created if
     /// absent).  Publishing through the handle skips the shard lookup
     /// entirely — this is the hot-path interface for components that
@@ -730,18 +675,6 @@ impl<E: Clone + Send + Sync + 'static> Publisher<E> {
         self.inner.mirror(&d);
         d.subs_reached
     }
-
-    /// Quota-aware publish with no per-event lookup; see
-    /// [`Bus::try_publish`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(event)` when a live subscriber mailbox is full.
-    pub fn try_publish(&self, event: E) -> Result<usize, E> {
-        let d = self.topic.try_publish(event)?;
-        self.inner.mirror(&d);
-        Ok(d.subs_reached)
-    }
 }
 
 #[cfg(test)]
@@ -811,44 +744,6 @@ mod tests {
         drop(sub);
         assert_eq!(bus.publish(Ping(1)), 0);
         assert_eq!(bus.subscriber_count::<Ping>(), 0);
-    }
-
-    #[test]
-    fn try_publish_rejects_on_full_mailbox_without_loss() {
-        let bus = Bus::new();
-        let sub = bus.subscribe_with_capacity::<Ping>(2);
-        assert_eq!(bus.try_publish(Ping(0)), Ok(1));
-        assert_eq!(bus.try_publish(Ping(1)), Ok(1));
-        // Mailbox full: the event comes back, nothing is lost.
-        assert_eq!(bus.try_publish(Ping(2)), Err(Ping(2)));
-        let stats = bus.topic_stats::<Ping>().unwrap();
-        assert_eq!(stats.published, 2);
-        assert_eq!(stats.lost, 0);
-        // Draining one slot re-admits traffic.
-        assert_eq!(sub.try_recv(), Ok(Ping(0)));
-        assert_eq!(bus.try_publish(Ping(2)), Ok(1));
-    }
-
-    #[test]
-    fn try_publish_ignores_closed_and_missing_subscribers() {
-        let bus = Bus::new();
-        // No topic at all: delivered to nobody, but not an overflow.
-        assert_eq!(bus.try_publish(Ping(0)), Ok(0));
-        let sub = bus.subscribe_with_capacity::<Ping>(2);
-        bus.publish(Ping(1));
-        bus.publish(Ping(2));
-        drop(sub); // full mailbox, but closed — must not block admission
-        assert_eq!(bus.try_publish(Ping(3)), Ok(0));
-    }
-
-    #[test]
-    fn publisher_try_publish_matches_bus_semantics() {
-        let bus = Bus::new();
-        let publisher = bus.publisher::<Ping>();
-        let _sub = bus.subscribe_with_capacity::<Ping>(2);
-        assert_eq!(publisher.try_publish(Ping(0)), Ok(1));
-        assert_eq!(publisher.try_publish(Ping(1)), Ok(1));
-        assert_eq!(publisher.try_publish(Ping(2)), Err(Ping(2)));
     }
 
     #[test]

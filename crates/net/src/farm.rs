@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use afta_alphacount::{AlphaCount, Judgment, Verdict};
 use afta_switchboard::controller::{Decision, RedundancyController, RedundancyPolicy};
 use afta_telemetry::{Counter, FixedHistogram, Registry, TelemetryEvent, Tick};
-use afta_voting::{majority_vote, RoundArena, RoundReport, VoteOutcome, VoteTelemetry};
+use afta_voting::{vote_of_n, RoundArena, RoundReport, VoteOutcome, VoteTelemetry};
 
 use crate::{NameIntern, NetError, NodeId, Transport, Wire, RTT_BOUNDS_NS};
 
@@ -433,31 +433,6 @@ impl DistributedVotingFarm {
     }
 }
 
-/// Majority voting where the universe is `n` peers, not just the ballots
-/// cast: a value wins only with strictly more than `n/2` ballots, so
-/// missing ballots count as dissent.
-///
-/// A winner over `n` is necessarily a strict majority of the cast
-/// ballots too (`count > n/2 ≥ len/2`), so [`majority_vote`]'s
-/// Boyer–Moore pass finds it without counting tables; only the dissent
-/// is re-based from the cast ballots to the full universe.
-fn vote_of_n(ballots: &[String], n: usize) -> VoteOutcome<String> {
-    match majority_vote(ballots) {
-        VoteOutcome::Majority { value, dissent } => {
-            let count = ballots.len() - dissent;
-            if 2 * count > n {
-                VoteOutcome::Majority {
-                    value,
-                    dissent: n - count,
-                }
-            } else {
-                VoteOutcome::NoMajority
-            }
-        }
-        VoteOutcome::NoMajority => VoteOutcome::NoMajority,
-    }
-}
-
 /// The remote replica loop: answers every [`Wire::VoteRequest`] with
 /// `method(round, input)` until the transport closes.  Returns the
 /// number of ballots cast.
@@ -673,38 +648,6 @@ mod tests {
         assert_eq!(report.dtof, 0);
         assert!(!report.succeeded());
         net.close();
-    }
-
-    #[test]
-    fn vote_of_n_requires_majority_of_the_asked() {
-        let ballots = ["a".to_string(), "a".to_string()];
-        // 2 of 3 asked: majority.
-        assert_eq!(
-            vote_of_n(&ballots, 3),
-            VoteOutcome::Majority {
-                value: "a".into(),
-                dissent: 1
-            }
-        );
-        // 2 of 5 asked: not a majority even though every ballot agrees.
-        assert_eq!(vote_of_n(&ballots, 5), VoteOutcome::NoMajority);
-        assert_eq!(vote_of_n(&[], 3), VoteOutcome::NoMajority);
-
-        // Mixed ballots: the winner needs > n/2 of the *asked*, and the
-        // dissent is re-based onto n.
-        let mixed = ["a".to_string(), "b".to_string(), "a".to_string()];
-        assert_eq!(
-            vote_of_n(&mixed, 4),
-            VoteOutcome::NoMajority,
-            "2 of 4 is not strict"
-        );
-        assert_eq!(
-            vote_of_n(&mixed, 3),
-            VoteOutcome::Majority {
-                value: "a".into(),
-                dissent: 1
-            }
-        );
     }
 
     #[test]

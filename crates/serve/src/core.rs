@@ -1,14 +1,15 @@
 //! The transport-agnostic server core: admission, quotas, dispatch.
 //!
 //! [`ServerCore`] owns every [`Tenant`] and a **bounded per-tenant
-//! mailbox** on the sharded event bus.  A frame travels in two steps:
+//! mailbox**: a plain queue holding at most the tenant's `mailbox_cap`
+//! requests.  A frame travels in two steps:
 //!
 //! 1. [`ServerCore::enqueue`] — cheap admission: decode, lifecycle and
-//!    quota checks, then `try_publish` the data request into the
-//!    tenant's mailbox.  Control requests (register / quiesce / evict /
-//!    digest) are answered inline.  A full mailbox rejects the frame
-//!    with a retry-after hint instead of shedding it — the publisher
-//!    gets the event back, nothing is ever counted as lost.
+//!    quota checks, then queue the data request in the tenant's
+//!    mailbox.  Control requests (register / quiesce / evict / digest)
+//!    are answered inline.  A full mailbox rejects the frame with a
+//!    retry-after hint instead of shedding it, so nothing admitted is
+//!    ever lost.
 //! 2. [`ServerCore::pump`] — drains one tenant's mailbox and processes
 //!    the requests in FIFO order, producing reply frames.
 //!
@@ -17,10 +18,15 @@
 //! after every enqueue on one thread, while the TCP reactor enqueues on
 //! its poll thread and lets a worker pool pump — the mailbox *is* the
 //! reactor-to-worker queue, so backpressure is the same object in both.
+//! Both frontends reach the core through `&mut self` (the reactor under
+//! its core lock), so a mailbox never has two writers.
+//!
+//! Every frame that reaches [`ServerCore::enqueue`] counts in
+//! `serve.frames` and in exactly one of `serve.handled`,
+//! `serve.queued`, `serve.rejected` or `serve.bad_frames`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use afta_eventbus::{Bus, Publisher, Subscription};
 use afta_telemetry::{Counter, Registry};
 
 use crate::proto::{Body, Frame, ProtoError, RejectReason, Reply, Request, TenantId};
@@ -78,22 +84,20 @@ pub enum Enqueued {
     Rejected(Vec<Outbound>),
 }
 
-/// One queued data request (the event type on each tenant's bus).
-#[derive(Debug, Clone)]
+/// One queued data request.
+#[derive(Debug)]
 struct InboundFrame {
     addr: ClientAddr,
     stream: u32,
     request: Request,
 }
 
-/// A hosted tenant plus its bounded mailbox.  Each tenant gets its own
-/// [`Bus`] instance so its mailbox shares nothing — not even a topic
-/// shard — with its siblings.
+/// A hosted tenant plus its bounded mailbox.
 struct TenantSlot {
     tenant: Tenant,
-    _bus: Bus,
-    inbox: Subscription<InboundFrame>,
-    publisher: Publisher<InboundFrame>,
+    /// Admitted data requests awaiting [`ServerCore::pump`], oldest
+    /// first; never longer than the tenant's `mailbox_cap`.
+    mailbox: VecDeque<InboundFrame>,
     /// Last known return address per stream, for round-result fan-out.
     clients: BTreeMap<u32, ClientAddr>,
 }
@@ -166,47 +170,35 @@ impl ServerCore {
     /// Requests waiting in the named tenant's mailbox.
     #[must_use]
     pub fn tenant_backlog(&self, tenant: TenantId) -> usize {
-        self.tenants.get(&tenant.0).map_or(0, |s| s.inbox.pending())
+        self.tenants.get(&tenant.0).map_or(0, |s| s.mailbox.len())
     }
 
     /// Re-bounds a hosted tenant's mailbox (the runtime quota knob the
-    /// fuzz churn driver turns).  Queued requests survive: the old
-    /// mailbox is drained into the new one, oldest first; anything
-    /// beyond the new, tighter bound is rejected back to its sender.
-    /// Returns the rejection replies (empty when loosening).
+    /// fuzz churn driver turns).  The oldest `cap` queued requests stay;
+    /// the newer ones beyond the tighter bound are rejected back to
+    /// their senders, oldest first.  Returns the rejection replies
+    /// (empty when loosening).
     pub fn set_tenant_mailbox_cap(&mut self, tenant: TenantId, cap: usize) -> Vec<Outbound> {
         let Some(slot) = self.tenants.get_mut(&tenant.0) else {
             return Vec::new();
         };
-        let cap = cap.max(1);
         slot.tenant.set_mailbox_cap(cap);
-        let backlog = slot.inbox.drain();
-        let bus = Bus::new();
-        slot.inbox = bus.subscribe_with_capacity::<InboundFrame>(cap);
-        slot.publisher = bus.publisher::<InboundFrame>();
-        slot._bus = bus;
-        let mut rejected = Vec::new();
-        for (queued, item) in backlog.into_iter().enumerate() {
-            // Same exact-cap contract as `admit_data`: the ring rounds
-            // up to a power of two, the quota does not.
-            let publish = if queued >= cap {
-                Err(item)
-            } else {
-                slot.publisher.try_publish(item)
-            };
-            if let Err(back) = publish {
+        let keep = slot.tenant.quotas().mailbox_cap.min(slot.mailbox.len());
+        let retry = slot.tenant.quotas().retry_after_ms;
+        slot.mailbox
+            .drain(keep..)
+            .map(|item| {
                 slot.tenant.count_rejected();
                 self.metrics.rejected.inc();
-                rejected.push(reject(
+                reject(
                     tenant,
-                    back.stream,
-                    back.addr,
+                    item.stream,
+                    item.addr,
                     RejectReason::QuotaExceeded,
-                    slot.tenant.quotas().retry_after_ms,
-                ));
-            }
-        }
-        rejected
+                    retry,
+                )
+            })
+            .collect()
     }
 
     /// Admission: decodes `bytes` and either handles it (control),
@@ -225,7 +217,6 @@ impl ServerCore {
                         let (tenant, stream) = Frame::peek_header(bytes)
                             .map(|(t, s, _)| (t, s))
                             .unwrap_or_default();
-                        self.metrics.rejected.inc();
                         Enqueued::Rejected(vec![reject(
                             tenant,
                             stream,
@@ -238,8 +229,9 @@ impl ServerCore {
             }
         };
         let Body::Request(request) = frame.body else {
-            // A reply sent at the server: ignore.
-            return Enqueued::Handled(Vec::new());
+            // A reply sent at the server is a bad frame; nothing answers it.
+            self.metrics.bad_frames.inc();
+            return Enqueued::Rejected(Vec::new());
         };
         let tenant = frame.tenant;
         let stream = frame.stream;
@@ -301,7 +293,7 @@ impl ServerCore {
             return Vec::new();
         };
         let mut out = Vec::new();
-        while let Ok(item) = slot.inbox.try_recv() {
+        while let Some(item) = slot.mailbox.pop_front() {
             slot.clients.insert(item.stream, item.addr);
             match item.request {
                 Request::Observe { key, value } => {
@@ -361,16 +353,11 @@ impl ServerCore {
             )];
         }
         let scope = self.registry.scoped(format!("serve.tenant.{}", tenant.0));
-        let bus = Bus::new();
-        let inbox = bus.subscribe_with_capacity::<InboundFrame>(quotas.mailbox_cap);
-        let publisher = bus.publisher::<InboundFrame>();
         self.tenants.insert(
             tenant.0,
             TenantSlot {
                 tenant: Tenant::new(tenant, quotas, scope),
-                _bus: bus,
-                inbox,
-                publisher,
+                mailbox: VecDeque::new(),
                 clients: BTreeMap::new(),
             },
         );
@@ -398,67 +385,28 @@ impl ServerCore {
                 0,
             )]);
         };
-        if slot.tenant.lifecycle() == Lifecycle::Quiescing {
+        let quotas = slot.tenant.quotas();
+        let refused = if slot.tenant.lifecycle() == Lifecycle::Quiescing {
+            Some((RejectReason::Quiescing, 0))
+        } else if !slot.tenant.admit_stream(stream) {
+            Some((RejectReason::StreamLimit, 0))
+        } else if slot.mailbox.len() >= quotas.mailbox_cap {
+            Some((RejectReason::QuotaExceeded, quotas.retry_after_ms))
+        } else {
+            None
+        };
+        if let Some((reason, retry)) = refused {
             slot.tenant.count_rejected();
             self.metrics.rejected.inc();
-            return Enqueued::Rejected(vec![reject(
-                tenant,
-                stream,
-                addr,
-                RejectReason::Quiescing,
-                0,
-            )]);
+            return Enqueued::Rejected(vec![reject(tenant, stream, addr, reason, retry)]);
         }
-        if !slot.tenant.admit_stream(stream) {
-            slot.tenant.count_rejected();
-            self.metrics.rejected.inc();
-            return Enqueued::Rejected(vec![reject(
-                tenant,
-                stream,
-                addr,
-                RejectReason::StreamLimit,
-                0,
-            )]);
-        }
-        // The ring under the mailbox rounds its capacity up to a power
-        // of two; the quota contract is the *exact* configured cap, so
-        // enforce it on the observed backlog before publishing.  All
-        // admission happens under the core lock, so `pending` is exact.
-        if slot.inbox.pending() >= slot.tenant.quotas().mailbox_cap {
-            let retry = slot.tenant.quotas().retry_after_ms;
-            slot.tenant.count_rejected();
-            self.metrics.rejected.inc();
-            return Enqueued::Rejected(vec![reject(
-                tenant,
-                stream,
-                addr,
-                RejectReason::QuotaExceeded,
-                retry,
-            )]);
-        }
-        let item = InboundFrame {
+        slot.mailbox.push_back(InboundFrame {
             addr,
             stream,
             request,
-        };
-        match slot.publisher.try_publish(item) {
-            Ok(_) => {
-                self.metrics.queued.inc();
-                Enqueued::Queued(tenant)
-            }
-            Err(_) => {
-                let retry = slot.tenant.quotas().retry_after_ms;
-                slot.tenant.count_rejected();
-                self.metrics.rejected.inc();
-                Enqueued::Rejected(vec![reject(
-                    tenant,
-                    stream,
-                    addr,
-                    RejectReason::QuotaExceeded,
-                    retry,
-                )])
-            }
-        }
+        });
+        self.metrics.queued.inc();
+        Enqueued::Queued(tenant)
     }
 
     fn with_tenant(
@@ -526,6 +474,7 @@ fn broadcast_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::KIND_REQUEST;
 
     fn core() -> ServerCore {
         ServerCore::new(ServeConfig::default(), &Registry::new())
@@ -706,26 +655,62 @@ mod tests {
     fn tightening_the_mailbox_rejects_the_overflowing_backlog() {
         let mut c = core();
         register(&mut c, 1, 8, 8);
-        let observe = |v: i64| {
-            Frame::request(
-                TenantId(1),
-                0,
-                Request::Observe {
-                    key: "ballot".into(),
-                    value: v,
-                },
-            )
-            .encode()
-        };
+        let observe = Frame::request(
+            TenantId(1),
+            0,
+            Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            },
+        )
+        .encode();
+        // Request i arrives from address 100 + i, so replies name it.
         for i in 0..6 {
             assert!(matches!(
-                c.enqueue(ClientAddr(1), &observe(i)),
+                c.enqueue(ClientAddr(100 + i), &observe),
                 Enqueued::Queued(_)
             ));
         }
+        let addrs = |out: &[Outbound]| out.iter().map(|(a, _)| a.0).collect::<Vec<_>>();
         let rejected = c.set_tenant_mailbox_cap(TenantId(1), 4);
-        assert_eq!(rejected.len(), 2, "backlog beyond the new bound bounces");
+        assert_eq!(addrs(&rejected), [104, 105], "the newest bounce, in order");
+        assert!(decoded(&rejected).iter().all(|r| matches!(
+            r,
+            Reply::Rejected {
+                reason: RejectReason::QuotaExceeded,
+                ..
+            }
+        )));
         assert_eq!(c.tenant_backlog(TenantId(1)), 4);
-        assert_eq!(c.pump(TenantId(1)).len(), 4);
+        let kept = c.pump(TenantId(1));
+        assert_eq!(addrs(&kept), [100, 101, 102, 103], "the oldest pump FIFO");
+        assert_eq!(c.tenant_digest(TenantId(1)).unwrap().rejected, 2);
+    }
+
+    #[test]
+    fn every_frame_lands_in_exactly_one_accounting_bucket() {
+        let registry = Registry::new();
+        let mut c = ServerCore::new(ServeConfig::default(), &registry);
+        register(&mut c, 1, 1, 0);
+        let stray_reply = Frame::reply(TenantId(1), 0, Reply::Quiesced { tenant: 1 }).encode();
+        let bad_frames: [&[u8]; 4] = [
+            &[0, 1],                                 // truncated header
+            &[0, 1, 0, 0, 0, 0, 9, b'{'],            // unknown kind
+            &[0, 1, 0, 0, 0, 0, KIND_REQUEST, b'{'], // body does not parse
+            &stray_reply,
+        ];
+        for bytes in bad_frames {
+            c.enqueue(ClientAddr(1), bytes);
+        }
+        let count = |name: &'static str| registry.counter(name).get();
+        assert_eq!(count("serve.bad_frames"), 4);
+        assert_eq!(count("serve.rejected"), 0);
+        assert_eq!(
+            count("serve.frames"),
+            count("serve.handled")
+                + count("serve.queued")
+                + count("serve.rejected")
+                + count("serve.bad_frames")
+        );
     }
 }

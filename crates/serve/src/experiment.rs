@@ -31,16 +31,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use afta_net::{NetError, NodeId, SimNetwork, SimTransport, Transport, TransportKind};
-use afta_sim::SeedFactory;
+use afta_sim::{fnv1a_64, SeedFactory, FNV_OFFSET};
 use afta_telemetry::Registry;
 use rand::Rng;
 use serde::Serialize;
 
 use crate::core::{ServeConfig, ServerCore};
-use crate::proto::{Body, Frame, Reply, Request, TenantDigest, TenantId};
+use crate::proto::{
+    next_framed, write_framed, Body, Frame, Reply, Request, TenantDigest, TenantId,
+};
 use crate::reactor::{Reactor, ReactorConfig};
 use crate::serve_transport;
-use crate::tenant::{fnv1a_64, FNV_OFFSET};
 
 /// Parameters of one E8 run.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,15 +165,23 @@ impl ClientLink for SimClient {
     }
 }
 
-/// A TCP client: one blocking loopback socket speaking
-/// `[u32 len][frame]`.
-struct TcpClient {
+/// A blocking TCP client of the [`Reactor`]: one socket speaking the
+/// `[u32 len][frame]` stream framing, with a 10 s read timeout.  The
+/// E8 TCP run and the soak's control connection use it.
+#[derive(Debug)]
+pub struct TcpClient {
     stream: TcpStream,
     buf: Vec<u8>,
 }
 
 impl TcpClient {
-    fn connect(addr: SocketAddr) -> Self {
+    /// Connects to the reactor at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the connection or the read timeout cannot be set up.
+    #[must_use]
+    pub fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect to the reactor");
         let _ = stream.set_nodelay(true);
         stream
@@ -183,29 +192,33 @@ impl TcpClient {
             buf: Vec::new(),
         }
     }
-}
 
-impl ClientLink for TcpClient {
-    fn send(&mut self, frame: &Frame) {
-        let bytes = frame.encode();
-        let len = u32::try_from(bytes.len()).expect("frame fits u32");
+    /// Sends one frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write fails.
+    pub fn send(&mut self, frame: &Frame) {
+        let mut message = Vec::new();
+        write_framed(&mut message, &frame.encode());
         self.stream
-            .write_all(&len.to_be_bytes())
-            .and_then(|()| self.stream.write_all(&bytes))
+            .write_all(&message)
             .expect("write to the reactor");
     }
 
-    fn recv(&mut self) -> Frame {
+    /// Blocks until the next frame from the reactor arrives.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no frame arrives within the read timeout, the
+    /// reactor closes the connection, or the frame does not decode.
+    pub fn recv(&mut self) -> Frame {
         let mut scratch = [0u8; 4096];
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-                if self.buf.len() >= 4 + len {
-                    let frame =
-                        Frame::decode(&self.buf[4..4 + len]).expect("server sends valid frames");
-                    self.buf.drain(..4 + len);
-                    return frame;
-                }
+            if let Some((bytes, used)) = next_framed(&self.buf, u32::MAX).expect("no frame limit") {
+                let frame = Frame::decode(bytes).expect("server sends valid frames");
+                self.buf.drain(..used);
+                return frame;
             }
             let n = self
                 .stream
@@ -214,6 +227,16 @@ impl ClientLink for TcpClient {
             assert!(n > 0, "reactor closed the connection mid-conversation");
             self.buf.extend_from_slice(&scratch[..n]);
         }
+    }
+}
+
+impl ClientLink for TcpClient {
+    fn send(&mut self, frame: &Frame) {
+        TcpClient::send(self, frame);
+    }
+
+    fn recv(&mut self) -> Frame {
+        TcpClient::recv(self)
     }
 }
 

@@ -13,9 +13,9 @@
 //!   [`proto::Frame`]: `[u16 tenant][u32 stream][u8 kind][JSON body]`,
 //!   so any number of tenants and client streams share one socket.
 //! * **Admission control and per-tenant quotas.**  Data requests pass
-//!   through a bounded per-tenant mailbox on the sharded event bus
-//!   ([`afta_eventbus::Bus::try_publish`]); overflow rejects with a
-//!   retry-after hint instead of shedding.
+//!   through a bounded per-tenant mailbox, a queue capped at exactly
+//!   the tenant's `mailbox_cap` ([`ServerCore`]); overflow rejects with
+//!   a retry-after hint instead of shedding.
 //! * **A poll-based reactor** ([`Reactor`]) replaces
 //!   thread-per-connection on the TCP path: one readiness loop over
 //!   non-blocking sockets plus a small worker pool that pumps tenant

@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use afta_net::TransportKind;
 use afta_serve::experiment::{
     differential_matches, run_serve_experiment, ServeExperimentConfig, ServeExperimentReport,
+    TcpClient,
 };
+use afta_serve::proto::{next_framed, write_framed};
 use afta_serve::{
     Body, Frame, Reactor, ReactorConfig, Reply, Request, ServeConfig, TenantId, CLI_HELP,
 };
@@ -258,10 +260,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
 
     // Register the tenants through a plain blocking control connection.
     {
-        let mut control = TcpStream::connect(addr).expect("connect control");
-        control
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("set timeout");
+        let mut control = TcpClient::connect(addr);
         for t in 0..tenants {
             let frame = Frame::request(
                 TenantId(t),
@@ -273,9 +272,9 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                     ballot_max: i64::MAX,
                 },
             );
-            send_framed(&mut control, &frame);
-            match recv_framed(&mut control) {
-                Reply::Registered { tenant } => assert_eq!(tenant, t),
+            control.send(&frame);
+            match control.recv().body {
+                Body::Reply(Reply::Registered { tenant }) => assert_eq!(tenant, t),
                 other => {
                     eprintln!("soak tenant {t} registration refused: {other:?}");
                     return ExitCode::FAILURE;
@@ -321,10 +320,8 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                     value: i64::try_from(i).unwrap_or(0) + i64::from(pass),
                 },
             );
-            let bytes = frame.encode();
-            let mut msg = Vec::with_capacity(4 + bytes.len());
-            msg.extend_from_slice(&u32::try_from(bytes.len()).expect("fits").to_be_bytes());
-            msg.extend_from_slice(&bytes);
+            let mut msg = Vec::new();
+            write_framed(&mut msg, &frame.encode());
             if write_all_blocking(&mut conn.stream, &msg).is_err() {
                 eprintln!("soak write on connection {i} failed");
                 return ExitCode::FAILURE;
@@ -357,13 +354,11 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                     Err(_) => break,
                 }
             }
-            while conn.buf.len() >= 4 {
-                let len = u32::from_be_bytes(conn.buf[..4].try_into().expect("4 bytes")) as usize;
-                if conn.buf.len() < 4 + len {
-                    break;
-                }
-                let reply = Frame::decode(&conn.buf[4..4 + len]).expect("valid reply frame");
-                conn.buf.drain(..4 + len);
+            while let Some((bytes, used)) =
+                next_framed(&conn.buf, u32::MAX).expect("no frame limit")
+            {
+                let reply = Frame::decode(bytes).expect("valid reply frame");
+                conn.buf.drain(..used);
                 match reply.body {
                     Body::Reply(Reply::Observed { .. }) => conn.acked += 1,
                     Body::Reply(Reply::Rejected { .. }) => conn.rejected += 1,
@@ -428,28 +423,6 @@ fn cmd_soak(args: &[String]) -> ExitCode {
              peak={peak}/{connections}"
         );
         ExitCode::FAILURE
-    }
-}
-
-/// Writes one `[len][frame]` message on a blocking socket.
-fn send_framed(stream: &mut TcpStream, frame: &Frame) {
-    let bytes = frame.encode();
-    let len = u32::try_from(bytes.len()).expect("frame fits u32");
-    stream
-        .write_all(&len.to_be_bytes())
-        .and_then(|()| stream.write_all(&bytes))
-        .expect("write control frame");
-}
-
-/// Reads one reply from a blocking socket.
-fn recv_framed(stream: &mut TcpStream) -> Reply {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).expect("control reply length");
-    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
-    stream.read_exact(&mut body).expect("control reply body");
-    match Frame::decode(&body).expect("valid control reply").body {
-        Body::Reply(reply) => reply,
-        Body::Request(r) => panic!("server sent a request: {r:?}"),
     }
 }
 

@@ -13,8 +13,11 @@
 //!
 //! Over [`afta_net::Transport`] the frame *is* the envelope payload.
 //! Over raw TCP (the reactor path) each frame is additionally wrapped in
-//! a `u32` big-endian length prefix, exactly like `TcpTransport`'s own
-//! framing, so a socket carries `[len][frame][len][frame]...`.
+//! a `u32` big-endian length prefix, so a socket carries
+//! `[len][frame][len][frame]...`.  [`write_framed`] and [`next_framed`]
+//! are the only code that writes or parses that prefix.  It is not
+//! `TcpTransport`'s framing, which puts a tag byte after the length
+//! (`[len][tag][body]`).
 //!
 //! The body stays JSON (like [`afta_net::Wire`]) so frames are
 //! inspectable with nothing fancier than `xxd`; the binary header exists
@@ -30,6 +33,9 @@ pub const KIND_REQUEST: u8 = 1;
 pub const KIND_REPLY: u8 = 2;
 /// Bytes before the JSON body: tenant (2) + stream (4) + kind (1).
 pub const FRAME_HEADER_LEN: usize = 7;
+/// Bytes of the `u32` big-endian length prefix before each frame on a
+/// byte stream.
+const LEN_PREFIX: usize = 4;
 
 /// Identifies one tenant hosted by the server.
 #[derive(
@@ -239,6 +245,8 @@ pub enum ProtoError {
     BadKind(u8),
     /// The JSON body did not parse.
     BadBody(String),
+    /// A stream length prefix announced a frame longer than the limit.
+    TooLong(u32),
 }
 
 impl fmt::Display for ProtoError {
@@ -247,11 +255,51 @@ impl fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "frame shorter than its header"),
             ProtoError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             ProtoError::BadBody(e) => write!(f, "frame body did not parse: {e}"),
+            ProtoError::TooLong(len) => write!(f, "length prefix {len} exceeds the frame limit"),
         }
     }
 }
 
 impl std::error::Error for ProtoError {}
+
+/// Appends `frame` to `out` as one `[u32 big-endian length][frame]`
+/// message, the framing of a raw byte stream.
+///
+/// # Panics
+///
+/// Panics if `frame` is longer than `u32::MAX` bytes.
+pub fn write_framed(out: &mut Vec<u8>, frame: &[u8]) {
+    let len = u32::try_from(frame.len()).expect("frame fits the u32 length prefix");
+    out.reserve(LEN_PREFIX + frame.len());
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(frame);
+}
+
+/// Slices the first message written by [`write_framed`] off the front
+/// of `buf`.
+///
+/// Returns `Ok(Some((frame, used)))` once the whole message is in
+/// `buf` (`used` is its size including the prefix, the bytes to drop
+/// before the next message) and `Ok(None)` while it is incomplete.
+///
+/// # Errors
+///
+/// Returns [`ProtoError::TooLong`] when the prefix announces more than
+/// `max_frame` bytes: the stream is corrupt or hostile, and no later
+/// message on it can be trusted.
+pub fn next_framed(buf: &[u8], max_frame: u32) -> Result<Option<(&[u8], usize)>, ProtoError> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*prefix);
+    if len > max_frame {
+        return Err(ProtoError::TooLong(len));
+    }
+    // `usize` holds any `u32` on the targets this crate supports.
+    Ok(rest
+        .get(..len as usize)
+        .map(|frame| (frame, LEN_PREFIX + frame.len())))
+}
 
 impl Frame {
     /// A request frame.
@@ -399,6 +447,47 @@ mod tests {
             &[1, 2, 3, 4, 5, 6, KIND_REQUEST]
         );
         assert_eq!(bytes[FRAME_HEADER_LEN], b'"', "body starts as JSON");
+    }
+
+    #[test]
+    fn a_stream_split_at_any_byte_yields_the_same_frames() {
+        let frames: Vec<Vec<u8>> = vec![
+            Frame::request(TenantId(1), 2, Request::Digest).encode(),
+            Vec::new(),
+            Frame::reply(TenantId(3), 4, Reply::Quiesced { tenant: 3 }).encode(),
+        ];
+        let mut stream = Vec::new();
+        for frame in &frames {
+            write_framed(&mut stream, frame);
+        }
+        for split in 0..=stream.len() {
+            let (mut buf, mut got) = (Vec::new(), Vec::new());
+            for part in [&stream[..split], &stream[split..]] {
+                buf.extend_from_slice(part);
+                while let Some((frame, used)) = next_framed(&buf, 1024).unwrap() {
+                    got.push(frame.to_vec());
+                    buf.drain(..used);
+                }
+            }
+            assert_eq!(got, frames, "split at byte {split}");
+            assert!(buf.is_empty());
+        }
+    }
+
+    #[test]
+    fn framing_refuses_oversized_and_waits_for_short_prefixes() {
+        for short in 0..LEN_PREFIX {
+            assert_eq!(next_framed(&[0; LEN_PREFIX][..short], 16), Ok(None));
+        }
+        assert_eq!(
+            next_framed(&[0, 0, 0, 17], 16),
+            Err(ProtoError::TooLong(17))
+        );
+        assert_eq!(next_framed(&[0, 0, 0, 16, 9], 16), Ok(None));
+        assert_eq!(
+            next_framed(&[0, 0, 0, 1, 9, 8], 16),
+            Ok(Some((&[9][..], 5)))
+        );
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //! loop trades a bounded idle poll interval for zero unsafe code.  At
 //! 10k mostly-idle connections one sweep is a few hundred microseconds
 //! of `read` calls returning `WouldBlock` — measured by the
-//! `serve.reactor.sweep` histogram, enforced by the CI soak.
+//! `serve.reactor.sweep` histogram, enforced by the CI soak.  After a
+//! sweep that moved bytes the loop only yields its time slice, so a
+//! client or worker it just woke can answer before the next sweep;
+//! after an idle sweep it sleeps `poll_interval`.
 //!
 //! Framing on the wire is `[u32 big-endian length][frame bytes]` per
-//! message — the same outer framing as `TcpTransport` — with the
-//! multiplexed [`Frame`](crate::proto::Frame) header inside.
+//! message ([`write_framed`] / [`next_framed`]), with the multiplexed
+//! [`Frame`](crate::proto::Frame) header inside.  It is not
+//! `TcpTransport`'s framing, which adds a tag byte after the length.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -39,7 +43,7 @@ use std::time::Duration;
 use afta_telemetry::Registry;
 
 use crate::core::{ClientAddr, Enqueued, Outbound, ServeConfig, ServerCore};
-use crate::proto::TenantId;
+use crate::proto::{next_framed, write_framed, TenantId};
 
 /// Connection ids start here so a reactor [`ClientAddr`] can never
 /// collide with a sim-transport `NodeId` (which is at most `u16::MAX`).
@@ -317,19 +321,15 @@ fn reactor_loop(
             }
             // Slice complete `[len][frame]` messages off the front.
             let mut start = 0usize;
-            while conn.read_buf.len() - start >= 4 {
-                let len = u32::from_be_bytes(
-                    conn.read_buf[start..start + 4].try_into().expect("4 bytes"),
-                );
-                if len > config.max_frame {
-                    dead.push(id);
-                    break;
-                }
-                let end = start + 4 + len as usize;
-                if conn.read_buf.len() < end {
-                    break;
-                }
-                let frame = &conn.read_buf[start + 4..end];
+            loop {
+                let (frame, used) = match next_framed(&conn.read_buf[start..], config.max_frame) {
+                    Ok(Some(sliced)) => sliced,
+                    Ok(None) => break,
+                    Err(_) => {
+                        dead.push(id);
+                        break;
+                    }
+                };
                 let outcome = {
                     let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
                     core.enqueue(ClientAddr(id), frame)
@@ -341,7 +341,7 @@ fn reactor_loop(
                         // the sender); worker replies go via the outbox.
                         for (dest, bytes) in replies {
                             debug_assert_eq!(dest.0, id);
-                            queue_reply(&mut conn.write_buf, &bytes);
+                            write_framed(&mut conn.write_buf, &bytes);
                         }
                     }
                     Enqueued::Queued(tenant) => {
@@ -349,7 +349,7 @@ fn reactor_loop(
                         let _ = senders[worker].send(tenant);
                     }
                 }
-                start = end;
+                start += used;
             }
             if start > 0 {
                 conn.read_buf.drain(..start);
@@ -363,7 +363,7 @@ fn reactor_loop(
         };
         for (dest, bytes) in outbound {
             if let Some(conn) = conns.get_mut(&dest.0) {
-                queue_reply(&mut conn.write_buf, &bytes);
+                write_framed(&mut conn.write_buf, &bytes);
                 progressed = true;
             }
             // Replies to a connection that closed meanwhile are dropped,
@@ -409,18 +409,69 @@ fn reactor_loop(
         }
 
         span.finish();
-        if !progressed {
+        // After a busy sweep, let the threads it woke (workers, local
+        // clients) run first: sweeping again at once would find nothing
+        // ready yet and then sleep a whole interval.
+        if progressed {
+            std::thread::yield_now();
+        } else {
             std::thread::sleep(config.poll_interval);
         }
     }
 }
 
-/// Appends one `[len][frame]` message to a write buffer.
-fn queue_reply(buf: &mut Vec<u8>, frame: &[u8]) {
-    buf.extend_from_slice(
-        &u32::try_from(frame.len())
-            .expect("frame fits u32")
-            .to_be_bytes(),
-    );
-    buf.extend_from_slice(frame);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::TcpClient;
+    use crate::proto::{Body, Frame, Reply, Request};
+
+    #[test]
+    fn an_oversized_prefix_closes_only_its_own_connection() {
+        let config = ReactorConfig {
+            workers: 1,
+            max_frame: 256,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::bind(
+            "127.0.0.1:0",
+            config,
+            ServeConfig::default(),
+            &Registry::new(),
+        )
+        .expect("bind the loopback reactor");
+        let mut good = TcpClient::connect(reactor.local_addr());
+        good.send(&Frame::request(
+            TenantId(1),
+            0,
+            Request::RegisterTenant {
+                expected_clients: 1,
+                mailbox_cap: 0,
+                ballot_min: 0,
+                ballot_max: 1,
+            },
+        ));
+        assert_eq!(
+            good.recv().body,
+            Body::Reply(Reply::Registered { tenant: 1 })
+        );
+
+        let mut bad = TcpStream::connect(reactor.local_addr()).expect("connect");
+        bad.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set read timeout");
+        let mut oversized = Vec::new();
+        write_framed(&mut oversized, &[0; 257]);
+        bad.write_all(&oversized).expect("send the oversized frame");
+        let mut byte = [0u8; 1];
+        match bad.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("oversized prefix must close the connection, got {other:?}"),
+        }
+
+        // The sibling connection is still served.
+        good.send(&Frame::request(TenantId(1), 0, Request::Digest));
+        assert!(matches!(good.recv().body, Body::Reply(Reply::Digest(_))));
+        reactor.shutdown();
+    }
 }

@@ -29,25 +29,15 @@ use std::collections::BTreeMap;
 
 use afta_alphacount::{AlphaCount, Judgment, Verdict};
 use afta_core::prelude::*;
+use afta_sim::{fnv1a_64, FNV_OFFSET};
 use afta_switchboard::controller::{RedundancyController, RedundancyPolicy};
 use afta_telemetry::Scope;
-use afta_voting::{majority_vote, VoteOutcome};
+/// The round vote: a majority of the `expected_clients` streams, with
+/// missing ballots counted as dissent (re-exported from `afta-voting`).
+pub use afta_voting::vote_of_n;
+use afta_voting::VoteOutcome;
 
 use crate::proto::{RoundResult, TenantDigest, TenantId};
-
-/// FNV-1a 64 offset basis (the accumulator every fold starts from).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Folds `bytes` into a rolling FNV-1a 64 accumulator.
-#[must_use]
-pub fn fnv1a_64(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc = (acc ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
 
 /// Per-tenant quotas and policy, fixed at registration.
 #[derive(Debug, Clone, PartialEq)]
@@ -332,29 +322,6 @@ impl Tenant {
             quarantined,
             digest: format!("{folded:016x}"),
         }
-    }
-}
-
-/// Majority over the received ballots, re-based onto the `n` *expected*
-/// ballots: the winner needs strictly more than `n/2` of the expected
-/// count, and dissent counts the expected voters that did not agree
-/// (missing ballots included) — the same timeout-as-dissent law as
-/// `afta-net`'s distributed voting farm.
-#[must_use]
-pub fn vote_of_n(ballots: &[String], n: usize) -> VoteOutcome<String> {
-    match majority_vote(ballots) {
-        VoteOutcome::Majority { value, dissent } => {
-            let count = ballots.len() - dissent;
-            if 2 * count > n {
-                VoteOutcome::Majority {
-                    value,
-                    dissent: n - count,
-                }
-            } else {
-                VoteOutcome::NoMajority
-            }
-        }
-        VoteOutcome::NoMajority => VoteOutcome::NoMajority,
     }
 }
 

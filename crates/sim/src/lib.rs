@@ -43,4 +43,4 @@ pub mod stats;
 pub use clock::{SkewedClock, Tick, VirtualClock};
 pub use events::Scheduler;
 pub use experiment::{Experiment, RunOutcome, StepControl};
-pub use rng::SeedFactory;
+pub use rng::{fnv1a_64, SeedFactory, FNV_OFFSET};

@@ -36,16 +36,20 @@ pub struct SeedFactory {
     master: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the accumulator every [`fnv1a_64`] fold
+/// starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// Folds `bytes` into a rolling FNV-1a 64 accumulator.  Start from
+/// [`FNV_OFFSET`]; folding `a` then `b` equals folding `a ++ b`.
+#[inline]
+#[must_use]
+pub fn fnv1a_64(mut acc: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+        acc = (acc ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    h
+    acc
 }
 
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -80,8 +84,8 @@ impl SeedFactory {
         // so that (master, name) pairs map to well-spread seeds.
         let mut buf = [0u8; 8];
         buf.copy_from_slice(&self.master.to_le_bytes());
-        let mut h = fnv1a(&buf);
-        h ^= fnv1a(name.as_bytes());
+        let mut h = fnv1a_64(FNV_OFFSET, &buf);
+        h ^= fnv1a_64(FNV_OFFSET, name.as_bytes());
         h = h.wrapping_mul(FNV_PRIME);
         h
     }

@@ -151,9 +151,7 @@ struct Inner {
 
 fn shard_of(name: &str) -> usize {
     // FNV-1a over the name; stable across runs.
-    let h = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
+    let h = afta_sim::fnv1a_64(afta_sim::FNV_OFFSET, name.as_bytes());
     (h % SHARDS as u64) as usize
 }
 

@@ -7,7 +7,8 @@
 //! crate is that service:
 //!
 //! * [`majority_vote`] / [`epsilon_vote`] — exact and inexact majority
-//!   voters;
+//!   voters, and [`vote_of_n`], which counts missing ballots of the `n`
+//!   voters asked as dissent;
 //! * [`dtof`] — the paper's distance-to-failure,
 //!   `dtof(n, m) = ceil(n/2) − m`, returning 0 when no majority exists;
 //! * [`VotingFarm`] — a restoring organ whose replica count can be raised
@@ -162,6 +163,34 @@ pub fn majority_vote<V: Eq + Clone>(votes: &[V]) -> VoteOutcome<V> {
         }
     } else {
         VoteOutcome::NoMajority
+    }
+}
+
+/// Majority voting where the universe is the `n` voters *asked*, not
+/// just the ballots cast: a value wins only with strictly more than
+/// `n/2` ballots, and the dissent counts every asked voter that did not
+/// agree, so a missing ballot (a timed-out peer, an absent client
+/// stream) counts as dissent.
+///
+/// A winner over `n` is necessarily a strict majority of the cast
+/// ballots too (`count > n/2 ≥ len/2`), so [`majority_vote`]'s
+/// Boyer–Moore pass finds it without counting tables; only the dissent
+/// is re-based from the cast ballots to the full universe.
+#[must_use]
+pub fn vote_of_n<V: Eq + Clone>(ballots: &[V], n: usize) -> VoteOutcome<V> {
+    match majority_vote(ballots) {
+        VoteOutcome::Majority { value, dissent } => {
+            let count = ballots.len() - dissent;
+            if 2 * count > n {
+                VoteOutcome::Majority {
+                    value,
+                    dissent: n - count,
+                }
+            } else {
+                VoteOutcome::NoMajority
+            }
+        }
+        VoteOutcome::NoMajority => VoteOutcome::NoMajority,
     }
 }
 
@@ -418,6 +447,38 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vote_of_n_requires_majority_of_the_asked() {
+        let ballots = ["a".to_string(), "a".to_string()];
+        // 2 of 3 asked: majority.
+        assert_eq!(
+            vote_of_n(&ballots, 3),
+            VoteOutcome::Majority {
+                value: "a".into(),
+                dissent: 1
+            }
+        );
+        // 2 of 5 asked: not a majority even though every ballot agrees.
+        assert_eq!(vote_of_n(&ballots, 5), VoteOutcome::NoMajority);
+        assert_eq!(vote_of_n::<String>(&[], 3), VoteOutcome::NoMajority);
+
+        // Mixed ballots: the winner needs > n/2 of the *asked*, and the
+        // dissent is re-based onto n.
+        let mixed = ["a".to_string(), "b".to_string(), "a".to_string()];
+        assert_eq!(
+            vote_of_n(&mixed, 4),
+            VoteOutcome::NoMajority,
+            "2 of 4 is not strict"
+        );
+        assert_eq!(
+            vote_of_n(&mixed, 3),
+            VoteOutcome::Majority {
+                value: "a".into(),
+                dissent: 1
+            }
+        );
+    }
 
     #[test]
     fn fig5_dtof_values() {
