@@ -454,7 +454,9 @@ fn reject(
     )
 }
 
-/// Fans completed rounds out to every attached stream of the tenant.
+/// Fans completed rounds out to every attached stream of the tenant:
+/// each round's result is encoded once per stream, in place, with only
+/// the header's stream changing.
 fn broadcast_rounds(
     tenant: TenantId,
     clients: &BTreeMap<u32, ClientAddr>,
@@ -462,11 +464,10 @@ fn broadcast_rounds(
     out: &mut Vec<Outbound>,
 ) {
     for result in rounds {
+        let mut frame = Frame::reply(tenant, 0, Reply::RoundResult(result));
         for (&stream, &addr) in clients {
-            out.push((
-                addr,
-                Frame::reply(tenant, stream, Reply::RoundResult(result.clone())).encode(),
-            ));
+            frame.stream = stream;
+            out.push((addr, frame.encode()));
         }
     }
 }

@@ -23,6 +23,13 @@
 //! inspectable with nothing fancier than `xxd`; the binary header exists
 //! so the reactor can route a frame to its tenant worker without parsing
 //! JSON on the reactor thread.
+//!
+//! [`Frame::encode`] writes the compact JSON body itself, into the
+//! header's buffer sized to the whole frame: the bytes are the ones
+//! `serde_json::to_string` renders from the types' `Serialize` derives,
+//! with no serde `Value` tree built per frame.  [`Frame::decode`] parses
+//! bodies with serde, which is what stands between the server and
+//! hostile input.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -322,28 +329,20 @@ impl Frame {
         }
     }
 
-    /// Encodes header + JSON body.
+    /// Encodes header + JSON body into one buffer of exactly the frame's
+    /// size (see the module docs for the body's bytes).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let (kind, json) = match &self.body {
-            Body::Request(r) => (
-                KIND_REQUEST,
-                serde_json::to_string(r)
-                    .expect("request serializes")
-                    .into_bytes(),
-            ),
-            Body::Reply(r) => (
-                KIND_REPLY,
-                serde_json::to_string(r)
-                    .expect("reply serializes")
-                    .into_bytes(),
-            ),
-        };
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + json.len());
+        let mut len = Len(FRAME_HEADER_LEN);
+        self.body.write_json(&mut len);
+        let mut out = Vec::with_capacity(len.0);
         out.extend_from_slice(&self.tenant.0.to_be_bytes());
         out.extend_from_slice(&self.stream.to_be_bytes());
-        out.push(kind);
-        out.extend_from_slice(&json);
+        out.push(match self.body {
+            Body::Request(_) => KIND_REQUEST,
+            Body::Reply(_) => KIND_REPLY,
+        });
+        self.body.write_json(&mut out);
         out
     }
 
@@ -397,6 +396,264 @@ impl Frame {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The body writer
+// ---------------------------------------------------------------------------
+
+/// Where [`Json::write_json`] puts a body: the frame buffer, or a
+/// [`Len`] that measures the frame first so that its buffer is
+/// allocated once, at its exact size.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts the bytes written to it.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// A value written as compact JSON, byte for byte what
+/// `serde_json::to_string` renders through its `Serialize` derive:
+/// struct fields in declaration order, enums externally tagged (unit
+/// variants as strings, the others as one-entry objects), `None` as
+/// `null`, integers in decimal.
+trait Json {
+    fn write_json<S: Sink>(&self, s: &mut S);
+}
+
+/// Writes `{"a":a,"b":b}` from bindings named like a struct's fields,
+/// listed in declaration order.  Field names are Rust identifiers, so
+/// they need no escaping.
+macro_rules! object {
+    ($s:ident; $first:ident $(, $rest:ident)*) => {{
+        $s.put(concat!("{\"", stringify!($first), "\":").as_bytes());
+        $first.write_json($s);
+        $(
+            $s.put(concat!(",\"", stringify!($rest), "\":").as_bytes());
+            $rest.write_json($s);
+        )*
+        $s.put(b"}");
+    }};
+}
+
+/// Writes a variant that carries data: `{"Variant":payload}`.
+fn tagged<S: Sink>(s: &mut S, variant: &str, payload: impl FnOnce(&mut S)) {
+    s.put(b"{\"");
+    s.put(variant.as_bytes());
+    s.put(b"\":");
+    payload(s);
+    s.put(b"}");
+}
+
+/// Writes `value` in decimal.
+fn write_u64<S: Sink>(s: &mut S, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    s.put(&digits[at..]);
+}
+
+macro_rules! unsigned_json {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn write_json<S: Sink>(&self, s: &mut S) {
+                write_u64(s, *self as u64);
+            }
+        }
+    )*};
+}
+unsigned_json!(u16, u32, u64, usize);
+
+impl Json for i64 {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        if *self < 0 {
+            s.put(b"-");
+        }
+        write_u64(s, self.unsigned_abs());
+    }
+}
+
+impl Json for bool {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        s.put(if *self { "true" } else { "false" }.as_bytes());
+    }
+}
+
+impl Json for str {
+    /// Escapes as the serde shim's `render_string` does: `"`, `\` and
+    /// the control characters, with the short escape where JSON has one
+    /// and `\u00xx` otherwise; everything else, DEL and non-ASCII text
+    /// included, goes out verbatim.  Every escaped character is ASCII
+    /// and no byte of a multi-byte UTF-8 sequence is, so scanning bytes
+    /// finds exactly the characters the shim escapes.
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        s.put(b"\"");
+        let bytes = self.as_bytes();
+        let mut verbatim = 0;
+        for (at, &b) in bytes.iter().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            let unicode;
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x08 => b"\\b",
+                0x0c => b"\\f",
+                // Any other control character.
+                _ => {
+                    unicode = [
+                        b'\\',
+                        b'u',
+                        b'0',
+                        b'0',
+                        HEX[usize::from(b >> 4)],
+                        HEX[usize::from(b & 0xf)],
+                    ];
+                    &unicode
+                }
+            };
+            s.put(&bytes[verbatim..at]);
+            s.put(escape);
+            verbatim = at + 1;
+        }
+        s.put(&bytes[verbatim..]);
+        s.put(b"\"");
+    }
+}
+
+impl Json for String {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        self.as_str().write_json(s);
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        match self {
+            Some(value) => value.write_json(s),
+            None => s.put(b"null"),
+        }
+    }
+}
+
+impl Json for Body {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        match self {
+            Body::Request(request) => request.write_json(s),
+            Body::Reply(reply) => reply.write_json(s),
+        }
+    }
+}
+
+impl Json for Request {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        match self {
+            Request::RegisterTenant {
+                expected_clients,
+                mailbox_cap,
+                ballot_min,
+                ballot_max,
+            } => tagged(s, "RegisterTenant", |s| {
+                object!(s; expected_clients, mailbox_cap, ballot_min, ballot_max);
+            }),
+            Request::Quiesce => "Quiesce".write_json(s),
+            Request::Evict => "Evict".write_json(s),
+            Request::Observe { key, value } => tagged(s, "Observe", |s| object!(s; key, value)),
+            Request::Ballot { round, value } => tagged(s, "Ballot", |s| object!(s; round, value)),
+            Request::Tick { round } => tagged(s, "Tick", |s| object!(s; round)),
+            Request::Digest => "Digest".write_json(s),
+        }
+    }
+}
+
+impl Json for RejectReason {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        let variant = match self {
+            RejectReason::UnknownTenant => "UnknownTenant",
+            RejectReason::TenantExists => "TenantExists",
+            RejectReason::TenantLimit => "TenantLimit",
+            RejectReason::Quiescing => "Quiescing",
+            RejectReason::QuotaExceeded => "QuotaExceeded",
+            RejectReason::StreamLimit => "StreamLimit",
+            RejectReason::BadFrame => "BadFrame",
+        };
+        variant.write_json(s);
+    }
+}
+
+impl Json for RoundResult {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        let RoundResult {
+            round,
+            n,
+            ballots,
+            value,
+            dissent,
+            dtof,
+            decision,
+            line,
+        } = self;
+        object!(s; round, n, ballots, value, dissent, dtof, decision, line);
+    }
+}
+
+impl Json for TenantDigest {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        let TenantDigest {
+            tenant,
+            rounds,
+            observes,
+            clashes,
+            rejected,
+            quarantined,
+            digest,
+        } = self;
+        object!(s; tenant, rounds, observes, clashes, rejected, quarantined, digest);
+    }
+}
+
+impl Json for Reply {
+    fn write_json<S: Sink>(&self, s: &mut S) {
+        match self {
+            Reply::Registered { tenant } => tagged(s, "Registered", |s| object!(s; tenant)),
+            Reply::Quiesced { tenant } => tagged(s, "Quiesced", |s| object!(s; tenant)),
+            Reply::Evicted(digest) => tagged(s, "Evicted", |s| digest.write_json(s)),
+            Reply::Observed { satisfied } => tagged(s, "Observed", |s| object!(s; satisfied)),
+            Reply::BallotAccepted { round } => {
+                tagged(s, "BallotAccepted", |s| object!(s; round));
+            }
+            Reply::RoundResult(result) => tagged(s, "RoundResult", |s| result.write_json(s)),
+            Reply::Digest(digest) => tagged(s, "Digest", |s| digest.write_json(s)),
+            Reply::Rejected {
+                reason,
+                retry_after_ms,
+            } => tagged(s, "Rejected", |s| object!(s; reason, retry_after_ms)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +693,117 @@ mod tests {
             assert_eq!(Frame::decode(&bytes).unwrap(), frame);
             let (tenant, stream, _) = Frame::peek_header(&bytes).unwrap();
             assert_eq!((tenant, stream), (frame.tenant, frame.stream));
+        }
+    }
+
+    #[test]
+    fn encode_writes_the_bytes_serde_renders() {
+        // Every control character, the two escaped printables, DEL, a
+        // slash (never escaped) and multi-byte UTF-8.
+        let awkward: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/\u{7f} é ✓ 😀".chars())
+            .collect();
+        let texts = ["", "v12", awkward.as_str()];
+        let digest = |text: &str| TenantDigest {
+            tenant: u16::MAX,
+            rounds: u64::MAX,
+            observes: 0,
+            clashes: 1,
+            rejected: 2,
+            quarantined: u32::MAX,
+            digest: text.into(),
+        };
+        let round = |value: Option<&str>, text: &str| RoundResult {
+            round: u64::MAX,
+            n: 16,
+            ballots: 15,
+            value: value.map(Into::into),
+            dissent: value.map(|_| 0),
+            dtof: u32::MAX,
+            decision: text.into(),
+            line: text.into(),
+        };
+        let mut requests = vec![
+            Request::RegisterTenant {
+                expected_clients: u32::MAX,
+                mailbox_cap: usize::MAX,
+                ballot_min: i64::MIN,
+                ballot_max: i64::MAX,
+            },
+            Request::RegisterTenant {
+                expected_clients: 0,
+                mailbox_cap: 0,
+                ballot_min: -1,
+                ballot_max: 0,
+            },
+            Request::Quiesce,
+            Request::Evict,
+            Request::Tick { round: 0 },
+            Request::Digest,
+        ];
+        let mut replies = vec![
+            Reply::Registered { tenant: 0 },
+            Reply::Quiesced { tenant: u16::MAX },
+            Reply::Observed { satisfied: true },
+            Reply::Observed { satisfied: false },
+            Reply::BallotAccepted { round: u64::MAX },
+            Reply::RoundResult(round(None, "none")),
+        ];
+        for text in texts {
+            requests.push(Request::Observe {
+                key: text.into(),
+                value: i64::MIN,
+            });
+            requests.push(Request::Ballot {
+                round: 1,
+                value: text.into(),
+            });
+            replies.push(Reply::RoundResult(round(Some(text), text)));
+            replies.push(Reply::Evicted(digest(text)));
+            replies.push(Reply::Digest(digest(text)));
+        }
+        replies.extend(
+            [
+                RejectReason::UnknownTenant,
+                RejectReason::TenantExists,
+                RejectReason::TenantLimit,
+                RejectReason::Quiescing,
+                RejectReason::QuotaExceeded,
+                RejectReason::StreamLimit,
+                RejectReason::BadFrame,
+            ]
+            .map(|reason| Reply::Rejected {
+                reason,
+                retry_after_ms: 25,
+            }),
+        );
+        let frames = requests
+            .into_iter()
+            .map(|r| Frame::request(TenantId(0x0102), 0x0304_0506, r))
+            .chain(
+                replies
+                    .into_iter()
+                    .map(|r| Frame::reply(TenantId(u16::MAX), u32::MAX, r)),
+            );
+        for frame in frames {
+            let (kind, json) = match &frame.body {
+                Body::Request(r) => (KIND_REQUEST, serde_json::to_string(r).unwrap()),
+                Body::Reply(r) => (KIND_REPLY, serde_json::to_string(r).unwrap()),
+            };
+            let mut want = frame.tenant.0.to_be_bytes().to_vec();
+            want.extend_from_slice(&frame.stream.to_be_bytes());
+            want.push(kind);
+            want.extend_from_slice(json.as_bytes());
+            let got = frame.encode();
+            assert_eq!(
+                String::from_utf8_lossy(&got[FRAME_HEADER_LEN..]),
+                json,
+                "{frame:?}"
+            );
+            assert_eq!(got, want, "{frame:?}");
+            assert_eq!(got.capacity(), got.len(), "sized to the frame: {frame:?}");
+            assert_eq!(Frame::decode(&got).unwrap(), frame);
         }
     }
 

@@ -25,13 +25,14 @@
 //! [`Request::Observe`]: crate::proto::Request::Observe
 //! [`Request::Tick`]: crate::proto::Request::Tick
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use afta_alphacount::{AlphaCount, Judgment, Verdict};
 use afta_core::prelude::*;
 use afta_sim::{fnv1a_64, FNV_OFFSET};
 use afta_switchboard::controller::{RedundancyController, RedundancyPolicy};
-use afta_telemetry::Scope;
+use afta_telemetry::{Counter, Gauge, Scope};
 /// The round vote: a majority of the `expected_clients` streams, with
 /// missing ballots counted as dissent (re-exported from `afta-voting`).
 pub use afta_voting::vote_of_n;
@@ -91,6 +92,27 @@ struct StreamState {
     quarantined: bool,
 }
 
+/// The tenant's `serve.tenant.<id>.*` handles, each resolved on first
+/// use and then held.  Resolving one formats and interns its name under
+/// a process-wide lock ([`Scope::counter`]), many times the cost of the
+/// increment itself, so no event resolves a name.  Registration
+/// resolves none either: six lookups per tenant would multiply the
+/// cost of registering it, for handles it may never use.
+#[derive(Debug, Default)]
+struct Handles {
+    observes: OnceCell<Counter>,
+    clashes: OnceCell<Counter>,
+    rounds: OnceCell<Counter>,
+    rejected: OnceCell<Counter>,
+    quiesced: OnceCell<Counter>,
+    dtof: OnceCell<Gauge>,
+}
+
+/// Adds one to the counter `name` of `scope`, whose handle `held` keeps.
+fn count(scope: &Scope, held: &OnceCell<Counter>, name: &str) {
+    held.get_or_init(|| scope.counter(name)).inc();
+}
+
 /// One hosted tenant (see the module docs).
 #[derive(Debug)]
 pub struct Tenant {
@@ -109,6 +131,7 @@ pub struct Tenant {
     observes: u64,
     rejected: u64,
     scope: Scope,
+    handles: Handles,
 }
 
 impl Tenant {
@@ -142,6 +165,7 @@ impl Tenant {
             observes: 0,
             rejected: 0,
             scope,
+            handles: Handles::default(),
             quotas,
         }
     }
@@ -167,7 +191,7 @@ impl Tenant {
     /// Moves the tenant to [`Lifecycle::Quiescing`].
     pub fn quiesce(&mut self) {
         self.state = Lifecycle::Quiescing;
-        self.scope.counter("quiesced").inc();
+        count(&self.scope, &self.handles.quiesced, "quiesced");
     }
 
     /// Replaces the mailbox capacity (the reconfigurable quota knob).
@@ -178,7 +202,7 @@ impl Tenant {
     /// Counts one admission rejection against this tenant.
     pub fn count_rejected(&mut self) {
         self.rejected += 1;
-        self.scope.counter("rejected").inc();
+        count(&self.scope, &self.handles.rejected, "rejected");
     }
 
     /// Whether `stream` may attach (already known, or under the cap).
@@ -206,11 +230,11 @@ impl Tenant {
     pub fn observe(&mut self, stream: u32, key: &str, value: i64) -> bool {
         self.attach(stream);
         self.observes += 1;
-        self.scope.counter("observes").inc();
+        count(&self.scope, &self.handles.observes, "observes");
         let report = self.registry.observe(Observation::new(key, value));
         let satisfied = report.all_satisfied();
         if !satisfied {
-            self.scope.counter("clashes").inc();
+            count(&self.scope, &self.handles.clashes, "clashes");
         }
         satisfied
     }
@@ -288,8 +312,11 @@ impl Tenant {
         self.digest_acc = fnv1a_64(self.digest_acc, line.as_bytes());
         self.digest_acc = fnv1a_64(self.digest_acc, b"\n");
         self.rounds += 1;
-        self.scope.counter("rounds").inc();
-        self.scope.gauge("dtof").set(i64::from(dtof));
+        count(&self.scope, &self.handles.rounds, "rounds");
+        self.handles
+            .dtof
+            .get_or_init(|| self.scope.gauge("dtof"))
+            .set(i64::from(dtof));
         RoundResult {
             round,
             n: self.quotas.expected_clients,
@@ -400,6 +427,55 @@ mod tests {
         let d = t.digest();
         assert_eq!(d.observes, 2);
         assert_eq!(d.clashes, 1);
+    }
+
+    #[test]
+    fn telemetry_matches_the_digest() {
+        let registry = Registry::new();
+        let quotas = TenantQuotas {
+            expected_clients: 3,
+            ..TenantQuotas::default()
+        };
+        let mut t = Tenant::new(TenantId(4), quotas, registry.scoped("serve.tenant.4"));
+        // Distinct totals, so a handle held under another metric's name
+        // shows as a mismatch.
+        for (stream, value) in [(0, 100), (1, 40_000), (2, -40_000), (0, 7), (1, 32_768)] {
+            t.observe(stream, "ballot", value);
+        }
+        let mut last = None;
+        for round in 1..=2 {
+            for stream in 0..3 {
+                last = t.ballot(stream, round, "a".into()).pop().or(last);
+            }
+        }
+        for _ in 0..4 {
+            t.count_rejected();
+        }
+        t.quiesce();
+
+        let report = registry.report();
+        let counter = |name: &str| report.counter(&format!("serve.tenant.4.{name}"));
+        let digest = t.digest();
+        assert_eq!(
+            (
+                digest.observes,
+                digest.clashes,
+                digest.rounds,
+                digest.rejected
+            ),
+            (5, 3, 2, 4)
+        );
+        assert_eq!(counter("observes"), digest.observes);
+        assert_eq!(counter("clashes"), digest.clashes);
+        assert_eq!(counter("rounds"), digest.rounds);
+        assert_eq!(counter("rejected"), digest.rejected);
+        assert_eq!(counter("quiesced"), 1);
+        let dtof = last.expect("two rounds completed").dtof;
+        assert_ne!(dtof, 0, "a default gauge would pass");
+        assert_eq!(
+            report.gauges.get("serve.tenant.4.dtof"),
+            Some(&i64::from(dtof))
+        );
     }
 
     #[test]

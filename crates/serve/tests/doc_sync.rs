@@ -8,9 +8,13 @@
 //! * every field of [`ServeConfig`], [`TenantQuotas`], and
 //!   [`ReactorConfig`] must be mentioned in the manual (so adding a
 //!   knob without documenting it fails the build), as must every
-//!   wire-level reject reason.
+//!   wire-level reject reason and every metric a server emits.
 
-use afta_serve::{ReactorConfig, RejectReason, ServeConfig, TenantQuotas, CLI_HELP};
+use afta_serve::{
+    ClientAddr, Enqueued, Frame, ReactorConfig, RejectReason, Request, ServeConfig, ServerCore,
+    TenantId, TenantQuotas, CLI_HELP,
+};
+use afta_telemetry::Registry;
 
 fn operations_md() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/OPERATIONS.md");
@@ -148,6 +152,61 @@ fn every_server_metric_is_documented() {
         assert!(
             doc.contains(metric),
             "metric `{metric}` is emitted but not in docs/OPERATIONS.md"
+        );
+    }
+
+    // Per-tenant metrics: drive one tenant through every event that
+    // records one, then look each emitted name up in §6 as
+    // `serve.tenant.<id>.*`.
+    let registry = Registry::new();
+    let mut core = ServerCore::new(ServeConfig::default(), &registry);
+    let observe = |value| Request::Observe {
+        key: "ballot".into(),
+        value,
+    };
+    for request in [
+        Request::RegisterTenant {
+            expected_clients: 1,
+            mailbox_cap: 0,
+            ballot_min: -10,
+            ballot_max: 10,
+        },
+        observe(1),
+        observe(99), // a clash
+        Request::Ballot {
+            round: 1,
+            value: "v".into(),
+        },
+        Request::Quiesce,
+        observe(1), // rejected: the tenant is quiescing
+    ] {
+        let frame = Frame::request(TenantId(3), 0, request).encode();
+        if let Enqueued::Queued(tenant) = core.enqueue(ClientAddr(1), &frame) {
+            core.pump(tenant);
+        }
+    }
+    let section = doc
+        .split_once("## 6.")
+        .and_then(|(_, rest)| rest.split_once("## 7."))
+        .expect("docs/OPERATIONS.md has sections 6 and 7")
+        .0;
+    let report = registry.report();
+    let tenant_metrics: Vec<&String> = report
+        .counters
+        .keys()
+        .chain(report.gauges.keys())
+        .chain(report.histograms.keys())
+        .filter(|name| name.starts_with("serve.tenant.3."))
+        .collect();
+    assert!(
+        tenant_metrics.len() >= 6,
+        "the drive reaches every tenant metric: {tenant_metrics:?}"
+    );
+    for name in tenant_metrics {
+        let generic = name.replacen("serve.tenant.3.", "serve.tenant.<id>.", 1);
+        assert!(
+            section.contains(&format!("`{generic}`")),
+            "metric `{name}` is emitted but `{generic}` is not in docs/OPERATIONS.md §6"
         );
     }
 }

@@ -361,8 +361,11 @@ impl Registry {
     ///
     /// let registry = Registry::new();
     /// let tenant = registry.scoped("serve.tenant.7");
-    /// tenant.counter("rounds").inc();
-    /// assert_eq!(registry.report().counter("serve.tenant.7.rounds"), 1);
+    /// // Resolve once, then count through the held handle.
+    /// let rounds = tenant.counter("rounds");
+    /// rounds.inc();
+    /// rounds.inc();
+    /// assert_eq!(registry.report().counter("serve.tenant.7.rounds"), 2);
     /// ```
     ///
     /// Composed names are interned process-wide (the registry's storage
@@ -439,6 +442,10 @@ impl Scope {
     }
 
     /// The counter `"{prefix}.{name}"`; see [`Registry::counter`].
+    ///
+    /// On an enabled registry each call formats the full name and
+    /// interns it under a process-wide lock before the registry lookup,
+    /// so a hot path should resolve the handle once and hold it.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
         if !self.registry.is_enabled() {
@@ -448,6 +455,10 @@ impl Scope {
     }
 
     /// The gauge `"{prefix}.{name}"`; see [`Registry::gauge`].
+    ///
+    /// On an enabled registry each call formats the full name and
+    /// interns it under a process-wide lock before the registry lookup,
+    /// so a hot path should resolve the handle once and hold it.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
         if !self.registry.is_enabled() {
@@ -457,6 +468,10 @@ impl Scope {
     }
 
     /// The histogram `"{prefix}.{name}"`; see [`Registry::histogram`].
+    ///
+    /// On an enabled registry each call formats the full name and
+    /// interns it under a process-wide lock before the registry lookup,
+    /// so a hot path should resolve the handle once and hold it.
     #[must_use]
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> FixedHistogram {
         if !self.registry.is_enabled() {
