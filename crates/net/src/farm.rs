@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use afta_alphacount::{AlphaCount, Judgment, Verdict};
 use afta_switchboard::controller::{Decision, RedundancyController, RedundancyPolicy};
 use afta_telemetry::{Counter, FixedHistogram, Registry, TelemetryEvent, Tick};
-use afta_voting::{vote_of_n, RoundArena, RoundReport, VoteOutcome, VoteTelemetry};
+use afta_voting::{RoundArena, VoteOutcome, VoteTelemetry};
 
 use crate::{NameIntern, NetError, NodeId, Transport, Wire, RTT_BOUNDS_NS};
 
@@ -315,13 +315,12 @@ impl DistributedVotingFarm {
         self.replies_total.add(replies as u64);
         self.timeouts_total.add(timeouts as u64);
 
-        // Vote over the round's n: a value needs a strict majority of the
-        // peers *asked*, so a timed-out peer dissents exactly like a
+        // Close the round over its n: a value needs a strict majority of
+        // the peers *asked*, so a timed-out peer dissents exactly like a
         // faulty one.
-        let outcome = vote_of_n(self.arena.ballots(), n);
+        let (report, decision) = self.controller.close_round(self.arena.ballots(), n);
 
         // Judge every chosen peer for the alpha-count filters.
-        let majority = outcome.value().cloned();
         for i in 0..self.chosen.len() {
             let peer = self.chosen[i];
             let ballot = self
@@ -329,73 +328,62 @@ impl DistributedVotingFarm {
                 .iter()
                 .position(|&p| p == peer)
                 .map(|idx| &self.arena.ballots()[idx]);
-            let judgment = match (ballot, &majority) {
-                (Some(ballot), Some(value)) if ballot == value => Judgment::Correct,
-                (Some(_), Some(_)) => Judgment::Erroneous,
-                (Some(_), None) => Judgment::Correct, // no reference value
-                (None, _) => {
-                    if let Some(state) = self.peers.get(&peer) {
-                        state.timeouts.inc();
-                    }
-                    self.registry.record(
-                        tick,
-                        TelemetryEvent::HeartbeatMiss {
-                            component: peer.to_string(),
-                        },
-                    );
-                    Judgment::Erroneous
+            if ballot.is_none() {
+                if let Some(state) = self.peers.get(&peer) {
+                    state.timeouts.inc();
                 }
-            };
-            self.judge(peer, judgment, tick);
+                self.registry.record(
+                    tick,
+                    TelemetryEvent::HeartbeatMiss {
+                        component: peer.to_string(),
+                    },
+                );
+            }
+            self.judge(peer, report.erred(ballot), tick);
         }
 
-        let round_dtof = if n > 0 { outcome.dtof(n) } else { 0 };
-        let decision = if n > 0 {
-            let report = RoundReport {
-                n,
-                outcome: outcome.clone(),
-                dtof: round_dtof,
-            };
+        // A round that asked nobody cast no vote to account for.
+        if n > 0 {
             self.vote_telemetry.observe(tick, &report);
-            let decision = self.controller.observe(round_dtof, n);
-            match decision {
-                Decision::Raise { from, to } => {
-                    self.target_n = to;
-                    self.registry
-                        .record(tick, TelemetryEvent::RedundancyRaised { from, to });
-                }
-                Decision::Lower { from, to } => {
-                    self.target_n = to;
-                    self.registry
-                        .record(tick, TelemetryEvent::RedundancyLowered { from, to });
-                }
-                Decision::Hold => {}
+        }
+        match decision {
+            Decision::Raise { from, to } => {
+                self.target_n = to;
+                self.registry
+                    .record(tick, TelemetryEvent::RedundancyRaised { from, to });
             }
-            decision
-        } else {
-            Decision::Hold
-        };
+            Decision::Lower { from, to } => {
+                self.target_n = to;
+                self.registry
+                    .record(tick, TelemetryEvent::RedundancyLowered { from, to });
+            }
+            Decision::Hold => {}
+        }
 
         NetRoundReport {
             round,
             n,
             replies,
             timeouts,
-            outcome,
-            dtof: round_dtof,
+            outcome: report.outcome,
+            dtof: report.dtof,
             decision,
             quarantined: self.quarantined(),
         }
     }
 
-    /// Feeds one judgment into a peer's alpha-count; quarantines it when
-    /// the verdict flips to permanent-or-intermittent.
-    fn judge(&mut self, peer: NodeId, judgment: Judgment, tick: Tick) {
+    /// Feeds one round's judgment into a peer's alpha-count; quarantines
+    /// it when the verdict flips to permanent-or-intermittent.
+    fn judge(&mut self, peer: NodeId, erred: bool, tick: Tick) {
         let Some(state) = self.peers.get_mut(&peer) else {
             return;
         };
         let before = state.alpha.verdict();
-        let after = state.alpha.record(judgment);
+        let after = state.alpha.record(if erred {
+            Judgment::Erroneous
+        } else {
+            Judgment::Correct
+        });
         if before == Verdict::Transient
             && after == Verdict::PermanentOrIntermittent
             && !state.quarantined

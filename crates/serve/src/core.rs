@@ -242,6 +242,13 @@ impl ServerCore {
                 ballot_min,
                 ballot_max,
             } => {
+                // A tenant no client can vote in, or with an empty ballot
+                // range, is refused before it exists.
+                if expected_clients == 0 || ballot_min > ballot_max {
+                    self.metrics.rejected.inc();
+                    let reply = reject(tenant, stream, addr, RejectReason::BadFrame, 0);
+                    return Enqueued::Rejected(vec![reply]);
+                }
                 let quotas = TenantQuotas {
                     expected_clients,
                     mailbox_cap: if mailbox_cap == 0 {
@@ -703,9 +710,34 @@ mod tests {
         for bytes in bad_frames {
             c.enqueue(ClientAddr(1), bytes);
         }
+        // Well-formed registrations with values no tenant can run with:
+        // refused, and the id stays free.
+        for (clients, min, max) in [(0, -1, 1), (1, 1, -1)] {
+            let frame = Frame::request(
+                TenantId(2),
+                0,
+                Request::RegisterTenant {
+                    expected_clients: clients,
+                    mailbox_cap: 0,
+                    ballot_min: min,
+                    ballot_max: max,
+                },
+            );
+            let Enqueued::Rejected(replies) = c.enqueue(ClientAddr(1), &frame.encode()) else {
+                panic!("malformed registration ({clients}, {min}, {max}) must be refused");
+            };
+            assert_eq!(
+                decoded(&replies),
+                [Reply::Rejected {
+                    reason: RejectReason::BadFrame,
+                    retry_after_ms: 0
+                }]
+            );
+        }
+        register(&mut c, 2, 1, 0);
         let count = |name: &'static str| registry.counter(name).get();
         assert_eq!(count("serve.bad_frames"), 4);
-        assert_eq!(count("serve.rejected"), 0);
+        assert_eq!(count("serve.rejected"), 2);
         assert_eq!(
             count("serve.frames"),
             count("serve.handled")

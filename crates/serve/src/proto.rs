@@ -119,7 +119,9 @@ pub enum RejectReason {
     QuotaExceeded,
     /// The tenant is at its stream cap.
     StreamLimit,
-    /// The frame body did not parse.
+    /// The frame body did not parse, or carried values the server
+    /// cannot act on (a registration with `expected_clients: 0` or
+    /// `ballot_min > ballot_max`).
     BadFrame,
 }
 

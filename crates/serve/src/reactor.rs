@@ -424,7 +424,7 @@ fn reactor_loop(
 mod tests {
     use super::*;
     use crate::experiment::TcpClient;
-    use crate::proto::{Body, Frame, Reply, Request};
+    use crate::proto::{Body, Frame, RejectReason, Reply, Request};
 
     #[test]
     fn an_oversized_prefix_closes_only_its_own_connection() {
@@ -472,6 +472,52 @@ mod tests {
         // The sibling connection is still served.
         good.send(&Frame::request(TenantId(1), 0, Request::Digest));
         assert!(matches!(good.recv().body, Body::Reply(Reply::Digest(_))));
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn an_inverted_range_registration_is_refused_and_the_reactor_serves_on() {
+        let config = ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::bind(
+            "127.0.0.1:0",
+            config,
+            ServeConfig::default(),
+            &Registry::new(),
+        )
+        .expect("bind the loopback reactor");
+        let register = |ballot_min, ballot_max| {
+            Frame::request(
+                TenantId(1),
+                0,
+                Request::RegisterTenant {
+                    expected_clients: 1,
+                    mailbox_cap: 0,
+                    ballot_min,
+                    ballot_max,
+                },
+            )
+        };
+        let mut bad = TcpClient::connect(reactor.local_addr());
+        bad.send(&register(1, 0));
+        assert_eq!(
+            bad.recv().body,
+            Body::Reply(Reply::Rejected {
+                reason: RejectReason::BadFrame,
+                retry_after_ms: 0
+            })
+        );
+
+        let mut sibling = TcpClient::connect(reactor.local_addr());
+        sibling.send(&register(0, 1));
+        assert_eq!(
+            sibling.recv().body,
+            Body::Reply(Reply::Registered { tenant: 1 })
+        );
+        sibling.send(&Frame::request(TenantId(1), 0, Request::Digest));
+        assert!(matches!(sibling.recv().body, Body::Reply(Reply::Digest(_))));
         reactor.shutdown();
     }
 }

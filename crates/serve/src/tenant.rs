@@ -7,13 +7,16 @@
 //! * an [`AssumptionRegistry`] holding the tenant's declared `ballot`
 //!   range assumption, fed by [`Request::Observe`];
 //! * an [`AlphaCount`] monitor per client stream, judged against each
-//!   completed voting round (the §3.3 restoring organ's memory);
+//!   completed voting round (the §3.3 restoring organ's memory): a
+//!   stream that dissents or casts no ballot errs
+//!   ([`RoundReport::erred`](afta_voting::RoundReport::erred));
 //! * majority voting over the streams' ballots with a **round barrier**:
 //!   round *r* completes when all `expected_clients` streams have
 //!   balloted (or a [`Request::Tick`] forces it, counting the missing
 //!   ballots as dissent);
-//! * a [`RedundancyController`] observing each round's distance to
-//!   failure.
+//! * a [`RedundancyController`] closing each round
+//!   ([`close_round`](RedundancyController::close_round): the vote, its
+//!   distance to failure and the control law).
 //!
 //! Everything a round produces is folded into a rolling FNV-1a digest of
 //! canonical text lines.  Because ballots are buffered per stream and
@@ -36,7 +39,6 @@ use afta_telemetry::{Counter, Gauge, Scope};
 /// The round vote: a majority of the `expected_clients` streams, with
 /// missing ballots counted as dissent (re-exported from `afta-voting`).
 pub use afta_voting::vote_of_n;
-use afta_voting::VoteOutcome;
 
 use crate::proto::{RoundResult, TenantDigest, TenantId};
 
@@ -85,13 +87,6 @@ pub enum Lifecycle {
     Quiescing,
 }
 
-/// Per-stream monitoring state.
-#[derive(Debug)]
-struct StreamState {
-    alpha: AlphaCount,
-    quarantined: bool,
-}
-
 /// The tenant's `serve.tenant.<id>.*` handles, each resolved on first
 /// use and then held.  Resolving one formats and interns its name under
 /// a process-wide lock ([`Scope::counter`]), many times the cost of the
@@ -120,7 +115,9 @@ pub struct Tenant {
     quotas: TenantQuotas,
     state: Lifecycle,
     registry: AssumptionRegistry,
-    streams: BTreeMap<u32, StreamState>,
+    /// Each attached stream's alpha-count; a stream whose verdict is
+    /// permanent-or-intermittent counts as quarantined.
+    streams: BTreeMap<u32, AlphaCount>,
     /// Ballots buffered per round, keyed `round -> stream -> value`.
     pending: BTreeMap<u64, BTreeMap<u32, String>>,
     /// The next round to complete; rounds complete strictly in order.
@@ -136,6 +133,10 @@ pub struct Tenant {
 
 impl Tenant {
     /// Creates the tenant and registers its `ballot` range assumption.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `quotas.ballot_min > quotas.ballot_max`.
     #[must_use]
     pub fn new(id: TenantId, quotas: TenantQuotas, scope: Scope) -> Self {
         let mut registry = AssumptionRegistry::new();
@@ -219,10 +220,9 @@ impl Tenant {
 
     fn attach(&mut self, stream: u32) {
         let threshold = self.quotas.alpha_threshold;
-        self.streams.entry(stream).or_insert_with(|| StreamState {
-            alpha: AlphaCount::with_threshold(threshold),
-            quarantined: false,
-        });
+        self.streams
+            .entry(stream)
+            .or_insert_with(|| AlphaCount::with_threshold(threshold));
     }
 
     /// Ingests an observation; returns whether every assumption still
@@ -242,10 +242,19 @@ impl Tenant {
     /// Buffers `stream`'s ballot for `round`, then completes every round
     /// whose barrier is now met, in order.  Returns the completed
     /// rounds' results (usually zero or one).
+    ///
+    /// A round buffers at most `expected_clients` ballots, one per
+    /// stream: a further stream's ballot for a full round is dropped,
+    /// like a ballot for a round already completed.
     pub fn ballot(&mut self, stream: u32, round: u64, value: String) -> Vec<RoundResult> {
         self.attach(stream);
         if round >= self.cursor {
-            self.pending.entry(round).or_default().insert(stream, value);
+            let ballots = self.pending.entry(round).or_default();
+            if (ballots.len() as u32) < self.quotas.expected_clients
+                || ballots.contains_key(&stream)
+            {
+                ballots.insert(stream, value);
+            }
         }
         let mut out = Vec::new();
         while self
@@ -276,30 +285,24 @@ impl Tenant {
         let n = self.quotas.expected_clients as usize;
         // Sorted stream order (BTreeMap), so the outcome and the alpha
         // updates below are arrival-order independent.
-        let values: Vec<String> = ballots.values().cloned().collect();
-        let outcome = vote_of_n(&values, n);
-        let dtof = outcome.dtof(n);
+        let values: Vec<&str> = ballots.values().map(String::as_str).collect();
+        let (report, decision) = self.controller.close_round(&values, n);
         let mut quarantined = 0u32;
-        for (stream, state) in &mut self.streams {
-            let judgment = match (&outcome, ballots.get(stream)) {
-                (VoteOutcome::Majority { value, .. }, Some(b)) if b == value => Judgment::Correct,
-                (VoteOutcome::Majority { .. }, _) => Judgment::Erroneous,
-                // No majority: no ground truth to judge against.
-                (VoteOutcome::NoMajority, _) => Judgment::Correct,
+        for (stream, alpha) in &mut self.streams {
+            let ballot = ballots.get(stream).map(String::as_str);
+            let judgment = if report.erred(ballot.as_ref()) {
+                Judgment::Erroneous
+            } else {
+                Judgment::Correct
             };
-            let verdict = state.alpha.record(judgment);
-            state.quarantined = verdict == Verdict::PermanentOrIntermittent;
-            if state.quarantined {
+            if alpha.record(judgment) == Verdict::PermanentOrIntermittent {
                 quarantined += 1;
             }
         }
-        let decision = self.controller.observe(dtof, n).to_string();
-        let (value, dissent) = match &outcome {
-            VoteOutcome::Majority { value, dissent } => {
-                (Some(value.clone()), Some(*dissent as u32))
-            }
-            VoteOutcome::NoMajority => (None, None),
-        };
+        let dtof = report.dtof;
+        let decision = decision.to_string();
+        let value = report.outcome.value().map(|&v| v.to_string());
+        let dissent = report.outcome.dissent().map(|m| m as u32);
         let shown = match (&value, dissent) {
             (Some(v), Some(m)) => format!("{v}/m{m}"),
             _ => "none".to_string(),
@@ -334,7 +337,11 @@ impl Tenant {
     #[must_use]
     pub fn digest(&self) -> TenantDigest {
         let clashes = self.registry.clash_log().len() as u64;
-        let quarantined = self.streams.values().filter(|s| s.quarantined).count() as u32;
+        let quarantined = self
+            .streams
+            .values()
+            .filter(|alpha| alpha.verdict() == Verdict::PermanentOrIntermittent)
+            .count() as u32;
         let tail = format!(
             "rounds{} observes{} clashes{} rejected{} q{quarantined}",
             self.rounds, self.observes, clashes, self.rejected,
@@ -417,6 +424,34 @@ mod tests {
         // A second tick for the same round is a forced empty round, not
         // a replay.
         assert_eq!(t.tick(1).len(), 0);
+    }
+
+    #[test]
+    fn a_round_buffers_at_most_its_universe_of_ballots() {
+        let mut t = tenant(3);
+        for stream in 0..5 {
+            assert!(t.ballot(stream, 2, "a".into()).is_empty());
+        }
+        let mut done = Vec::new();
+        for stream in 0..3 {
+            done.extend(t.ballot(stream, 1, "a".into()));
+        }
+        let closed: Vec<(u64, u32)> = done.iter().map(|r| (r.round, r.ballots)).collect();
+        assert_eq!(closed, [(1, 3), (2, 3)]);
+        assert_eq!(done[1].dissent, Some(0));
+    }
+
+    #[test]
+    fn an_absent_stream_errs_in_a_round_without_majority() {
+        let mut t = tenant(3);
+        t.observe(2, "ballot", 1); // attaches stream 2, which never ballots
+        for round in 1..=4 {
+            t.ballot(0, round, "a".into());
+            t.ballot(1, round, "b".into());
+            let done = t.tick(round);
+            assert_eq!(done[0].value, None, "no majority in round {round}");
+        }
+        assert_eq!(t.digest().quarantined, 1);
     }
 
     #[test]

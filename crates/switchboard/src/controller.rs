@@ -5,10 +5,15 @@
 //! dtof is high for a certain amount of consecutive runs — 1000 runs in
 //! our experiments — a request to lower the number of replicas is
 //! issued."
+//!
+//! [`RedundancyController::close_round`] is the whole round of that
+//! restoring organ, vote, dtof and law, for every caller that gathers
+//! ballots: the Fig. 7 experiment, the distributed voting farm and the
+//! served tenants.
 
 use std::fmt;
 
-use afta_voting::dtof_max;
+use afta_voting::{dtof_max, vote_of_n, RoundReport, VoteOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the control law.
@@ -206,6 +211,33 @@ impl RedundancyController {
         self.consensus_streak = 0;
         Decision::Hold
     }
+
+    /// Closes one §3.3 restoring-organ round: votes over the `n` members
+    /// asked (a member that cast no ballot dissents, see [`vote_of_n`]),
+    /// computes the round's dtof and feeds it to the control law.
+    ///
+    /// `ballots` are the ballots the asked members cast, at most one
+    /// each, so `ballots.len() <= n` (asserted in debug builds).  A round
+    /// that asked nobody (`n == 0`) has no distance to failure: it
+    /// reports no majority and dtof 0 and holds, without consulting the
+    /// law.  Judge each member with [`RoundReport::erred`].
+    #[inline]
+    pub fn close_round<V: Eq + Clone>(
+        &mut self,
+        ballots: &[V],
+        n: usize,
+    ) -> (RoundReport<V>, Decision) {
+        debug_assert!(ballots.len() <= n, "more ballots than members asked");
+        let (outcome, dtof, decision) = if n == 0 {
+            (VoteOutcome::NoMajority, 0, Decision::Hold)
+        } else {
+            let outcome = vote_of_n(ballots, n);
+            let dtof = outcome.dtof(n);
+            let decision = self.observe(dtof, n);
+            (outcome, dtof, decision)
+        };
+        (RoundReport { n, outcome, dtof }, decision)
+    }
 }
 
 impl Default for RedundancyController {
@@ -299,6 +331,68 @@ mod tests {
         }
         c.observe(0, 5); // critical -> raise, streak reset
         assert_eq!(c.consensus_streak(), 0);
+    }
+
+    #[test]
+    fn close_round_is_vote_of_n_then_the_law() {
+        use afta_voting::dtof;
+        // Lowering after one consensus round lets every decision occur.
+        let mut kernel = RedundancyController::new(RedundancyPolicy {
+            lower_after: 1,
+            ..RedundancyPolicy::default()
+        });
+        let mut twin = kernel.clone();
+        // Every ballot pattern over a 3-value alphabet, n = 1..=6 members
+        // asked, 0..=n of them casting.
+        for n in 1usize..=6 {
+            for cast in 0..=n {
+                for pattern in 0..3u32.pow(cast as u32) {
+                    let mut p = pattern;
+                    let ballots: Vec<u32> = (0..cast)
+                        .map(|_| {
+                            let v = p % 3;
+                            p /= 3;
+                            v
+                        })
+                        .collect();
+                    let outcome = vote_of_n(&ballots, n);
+                    let d = dtof(n, outcome.dissent());
+                    let (report, decision) = kernel.close_round(&ballots, n);
+                    assert_eq!(
+                        report,
+                        RoundReport {
+                            n,
+                            outcome,
+                            dtof: d
+                        },
+                        "{ballots:?}"
+                    );
+                    assert_eq!(decision, twin.observe(d, n), "n={n} {ballots:?}");
+                }
+            }
+        }
+        assert_eq!(kernel, twin);
+        assert!(kernel.raises() > 0 && kernel.lowers() > 0);
+    }
+
+    #[test]
+    fn a_round_that_asked_nobody_holds_without_the_law() {
+        let mut c = RedundancyController::new(quick_policy());
+        for _ in 0..3 {
+            c.observe(2, 3); // consensus at n=3
+        }
+        let (report, decision) = c.close_round::<u32>(&[], 0);
+        assert_eq!(
+            report,
+            RoundReport {
+                n: 0,
+                outcome: VoteOutcome::NoMajority,
+                dtof: 0
+            }
+        );
+        assert_eq!(decision, Decision::Hold);
+        // Fed to the law, dtof 0 would have reset the streak and raised.
+        assert_eq!((c.consensus_streak(), c.raises(), c.lowers()), (3, 0, 0));
     }
 
     #[test]

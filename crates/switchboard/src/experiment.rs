@@ -2,8 +2,10 @@
 //!
 //! Each simulated time step is one voting round of a restoring organ
 //! whose replicas fail independently with the probability the
-//! [`EnvironmentProfile`] assigns to the current tick.  The round's dtof
-//! feeds the [`RedundancyController`]; its decisions resize the organ.
+//! [`EnvironmentProfile`] assigns to the current tick.  The
+//! [`RedundancyController`] closes the round
+//! ([`close_round`](RedundancyController::close_round): vote, dtof and
+//! control law); its decisions resize the organ.
 //! Dwell time per redundancy degree is accounted exactly as in Fig. 7.
 
 use afta_eventbus::Bus;
@@ -11,7 +13,7 @@ use afta_faultinject::EnvironmentProfile;
 use afta_sim::stats::{Histogram, TimeWeighted};
 use afta_sim::{SeedFactory, Tick};
 use afta_telemetry::{Registry, TelemetryEvent};
-use afta_voting::{dtof, majority_vote, RoundArena, RoundReport, VoteOutcome, VoteTelemetry};
+use afta_voting::{RoundArena, VoteTelemetry};
 use rand::Rng;
 
 use crate::controller::{Decision, RedundancyController, RedundancyPolicy};
@@ -355,33 +357,21 @@ impl ExperimentRun {
                 faults_counter.add(faults as u64);
             }
 
-            let outcome = majority_vote(arena.ballots());
-            let round_dtof = match &outcome {
-                VoteOutcome::Majority { dissent, .. } => dtof(n, Some(*dissent)),
-                VoteOutcome::NoMajority => {
-                    self.voting_failures += 1;
-                    dtof(n, None)
-                }
-            };
-            vote_telemetry.observe(
-                tick,
-                &RoundReport {
-                    n,
-                    outcome,
-                    dtof: round_dtof,
-                },
-            );
+            let (report, decision) = self.controller.close_round(arena.ballots(), n);
+            if !report.succeeded() {
+                self.voting_failures += 1;
+            }
+            vote_telemetry.observe(tick, &report);
 
             if bus.is_some() {
                 reading_batch.push(DisturbanceReading {
                     tick,
                     n,
                     faults,
-                    dtof: round_dtof,
+                    dtof: report.dtof,
                 });
             }
 
-            let decision = self.controller.observe(round_dtof, n);
             let adapted = decision.new_count().is_some();
             if let Some(new_n) = decision.new_count() {
                 self.n = new_n;
@@ -410,7 +400,7 @@ impl ExperimentRun {
                 self.trace.push(TracePoint {
                     tick,
                     n: self.n,
-                    dtof: round_dtof,
+                    dtof: report.dtof,
                     faults,
                 });
             }

@@ -250,7 +250,9 @@ pub fn epsilon_vote(votes: &[f64], eps: f64) -> VoteOutcome<f64> {
     }
 }
 
-/// Report of one [`VotingFarm`] round.
+/// Report of one restoring-organ round: a [`VotingFarm`] round, or a
+/// round closed by a redundancy controller over ballots gathered
+/// elsewhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport<V> {
     /// Replica count used this round.
@@ -266,6 +268,23 @@ impl<V> RoundReport<V> {
     #[must_use]
     pub fn succeeded(&self) -> bool {
         matches!(self.outcome, VoteOutcome::Majority { .. })
+    }
+
+    /// Whether a member asked this round erred, given the ballot it cast
+    /// (`None`: it cast none).  A missing ballot errs, like a wrong one;
+    /// a cast ballot errs when it differs from the majority.  With no
+    /// majority there is no reference value, so a cast ballot does not
+    /// err.
+    #[must_use]
+    pub fn erred(&self, ballot: Option<&V>) -> bool
+    where
+        V: PartialEq,
+    {
+        match (ballot, self.outcome.value()) {
+            (None, _) => true,
+            (Some(ballot), Some(majority)) => ballot != majority,
+            (Some(_), None) => false,
+        }
     }
 }
 
@@ -478,6 +497,25 @@ mod tests {
                 dissent: 1
             }
         );
+    }
+
+    #[test]
+    fn erred_judges_every_member_by_one_rule() {
+        let report = |outcome| RoundReport {
+            n: 3,
+            outcome,
+            dtof: 0,
+        };
+        let majority = report(VoteOutcome::Majority {
+            value: 1,
+            dissent: 1,
+        });
+        let split = report(VoteOutcome::NoMajority);
+        assert!(majority.erred(None), "absent");
+        assert!(!majority.erred(Some(&1)), "agreeing");
+        assert!(majority.erred(Some(&2)), "disagreeing");
+        assert!(!split.erred(Some(&2)), "present with no majority");
+        assert!(split.erred(None), "absent with no majority");
     }
 
     #[test]
