@@ -483,6 +483,7 @@ fn broadcast_rounds(
 mod tests {
     use super::*;
     use crate::proto::KIND_REQUEST;
+    use crate::tenant::MAX_TICK_ROUNDS;
 
     fn core() -> ServerCore {
         ServerCore::new(ServeConfig::default(), &Registry::new())
@@ -611,6 +612,41 @@ mod tests {
             .map(|(addr, _)| addr)
             .collect();
         assert_eq!(results, vec![&ClientAddr(10), &ClientAddr(11)]);
+    }
+
+    #[test]
+    fn a_tick_for_the_last_round_closes_a_bounded_run() {
+        let mut c = core();
+        register(&mut c, 1, 3, 0);
+        for stream in 0..2 {
+            let observe = Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            };
+            let frame = Frame::request(TenantId(1), stream, observe).encode();
+            assert!(matches!(
+                c.enqueue(ClientAddr(1), &frame),
+                Enqueued::Queued(_)
+            ));
+        }
+        c.pump(TenantId(1));
+        let tick = Frame::request(TenantId(1), 0, Request::Tick { round: u64::MAX }).encode();
+        for pass in 1..=2 {
+            assert!(matches!(
+                c.enqueue(ClientAddr(1), &tick),
+                Enqueued::Queued(_)
+            ));
+            let rounds: Vec<u64> = decoded(&c.pump(TenantId(1)))
+                .into_iter()
+                .map(|reply| match reply {
+                    Reply::RoundResult(result) => result.round,
+                    other => panic!("a tick answers only round results, got {other:?}"),
+                })
+                .collect();
+            // One frame per round for each of the two attached streams.
+            assert_eq!(rounds.len(), 2 * MAX_TICK_ROUNDS);
+            assert_eq!(rounds.iter().max(), Some(&(pass * MAX_TICK_ROUNDS as u64)));
+        }
     }
 
     #[test]

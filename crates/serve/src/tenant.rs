@@ -42,6 +42,12 @@ pub use afta_voting::vote_of_n;
 
 use crate::proto::{RoundResult, TenantDigest, TenantId};
 
+/// Most rounds one [`Tenant::tick`] completes.  A `Tick` names any
+/// round, and each round it closes costs work, memory and one frame per
+/// attached stream, all under the server core's lock; without a bound,
+/// one small frame naming a far-future round would stall the server.
+pub const MAX_TICK_ROUNDS: usize = 64;
+
 /// Per-tenant quotas and policy, fixed at registration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantQuotas {
@@ -268,10 +274,12 @@ impl Tenant {
     }
 
     /// Forces rounds up to and including `round` to complete, missing
-    /// ballots counting as dissent.  No-op for rounds already completed.
+    /// ballots counting as dissent, but at most [`MAX_TICK_ROUNDS`] of
+    /// them: a further `tick` continues from there.  No-op for rounds
+    /// already completed.
     pub fn tick(&mut self, round: u64) -> Vec<RoundResult> {
         let mut out = Vec::new();
-        while self.cursor <= round {
+        while self.cursor <= round && out.len() < MAX_TICK_ROUNDS {
             out.push(self.complete_round());
         }
         out
@@ -424,6 +432,15 @@ mod tests {
         // A second tick for the same round is a forced empty round, not
         // a replay.
         assert_eq!(t.tick(1).len(), 0);
+    }
+
+    #[test]
+    fn one_tick_closes_at_most_a_bounded_run_of_rounds() {
+        let mut t = tenant(3);
+        let rounds = |done: Vec<RoundResult>| done.iter().map(|r| r.round).collect::<Vec<_>>();
+        assert_eq!(rounds(t.tick(1_000)), (1..=64).collect::<Vec<_>>());
+        assert_eq!(rounds(t.tick(1_000)), (65..=128).collect::<Vec<_>>());
+        assert_eq!(t.digest().rounds, 128);
     }
 
     #[test]
