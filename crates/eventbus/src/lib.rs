@@ -54,10 +54,18 @@
 //! [`mod@reference`] as an executable specification: the differential
 //! property tests replay scripts against both buses, and the
 //! `bench_snapshot` trajectory measures speedups against it.
+//!
+//! The crate also hosts [`mod@poll`], the safe `poll(2)` wrapper that
+//! afta-serve's reactor sleeps in (Linux only).  Its one foreign call
+//! lives here because this is the only crate of the stack that may hold
+//! `unsafe` code, in audited modules that opt out of its
+//! `deny(unsafe_code)`.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+#[cfg(target_os = "linux")]
+pub mod poll;
 pub mod reference;
 pub mod ring;
 

@@ -14,7 +14,8 @@
 //! Head and tail live on their own cache lines so producers and the
 //! consumer do not false-share.
 //!
-//! This is the one module of the crate that uses `unsafe`: slot storage
+//! This module and [`poll`](crate::poll) are the crate's only users of
+//! `unsafe`.  Here, slot storage
 //! is `UnsafeCell<MaybeUninit<T>>` and ownership of a slot's value is
 //! handed over exclusively through the acquire/release handshake on the
 //! slot's sequence number.  The invariants are spelled out inline; the

@@ -283,25 +283,44 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         }
     }
 
-    // Open every connection (blocking connect is fast on loopback; the
-    // reactor accepts concurrently), then go non-blocking for the sweep.
+    // Open every connection, then go non-blocking for the sweep.  A
+    // blocking connect returns once the kernel queues it for accept,
+    // and std listens with a backlog of 128: connecting faster than the
+    // reactor accepts overflows that queue, and each dropped SYN is
+    // retransmitted only a second later.  So connect in batches of half
+    // the backlog, each after the reactor has accepted the last.
+    const CONNECT_BATCH: usize = 64;
     let mut conns: Vec<SoakConn> = Vec::with_capacity(connections);
-    for i in 0..connections {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream.set_nonblocking(true).expect("nonblocking client");
-                let _ = stream.set_nodelay(true);
-                conns.push(SoakConn {
-                    stream,
-                    buf: Vec::new(),
-                    acked: 0,
-                    rejected: 0,
-                });
+    while conns.len() < connections {
+        for _ in 0..CONNECT_BATCH.min(connections - conns.len()) {
+            match TcpStream::connect(addr) {
+                Ok(stream) => {
+                    stream.set_nonblocking(true).expect("nonblocking client");
+                    let _ = stream.set_nodelay(true);
+                    conns.push(SoakConn {
+                        stream,
+                        buf: Vec::new(),
+                        acked: 0,
+                        rejected: 0,
+                    });
+                }
+                Err(e) => {
+                    eprintln!("soak connect {}/{connections} failed: {e}", conns.len());
+                    return ExitCode::FAILURE;
+                }
             }
-            Err(e) => {
-                eprintln!("soak connect {i}/{connections} failed: {e}");
+        }
+        while usize::try_from(reactor.connections()).unwrap_or(0) < conns.len() {
+            if started.elapsed() > timeout {
+                eprintln!(
+                    "soak timed out with {} of {} connections accepted after {:?}",
+                    reactor.connections(),
+                    conns.len(),
+                    started.elapsed()
+                );
                 return ExitCode::FAILURE;
             }
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
 

@@ -147,6 +147,7 @@ fn every_server_metric_is_documented() {
         "serve.reactor.accepted",
         "serve.reactor.refused",
         "serve.reactor.closed",
+        "serve.reactor.write_blocked",
         "serve.reactor.sweep",
     ] {
         assert!(
