@@ -237,8 +237,8 @@ pub fn collect_signals(options: &EvidenceOptions) -> Result<Vec<Signal>, String>
     signals.push(Signal::num("e7net_failures", failures as f64));
     signals.push(Signal::str("e7net_final_replicas", replicas.join(",")));
 
-    // E8(serve) — the multi-tenant service over the deterministic sim
-    // frontend: 8 tenants x 16 client streams x 12 voting rounds, every
+    // E8(serve) — the multi-tenant service's in-process `sim` leg, the
+    // core on one thread: 8 tenants x 16 client streams x 12 rounds, every
     // value a pure function of the master seed.  The TCP half of the
     // differential is exercised by the JUnit suite; here we pin the sim
     // digest the TCP run must match bit for bit.

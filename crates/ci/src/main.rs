@@ -279,7 +279,7 @@ fn differential_suite(skip_tcp: bool) -> JunitSuite {
 }
 
 /// E8 sim-vs-TCP: the multi-tenant service driven at full pin size
-/// (8 tenants x 16 client streams x 12 rounds) over both frontends must
+/// (8 tenants x 16 client streams x 12 rounds) over both legs must
 /// produce bit-identical per-tenant digests.  With `--skip-tcp` the
 /// second run is a fresh sim run — still a determinism check, minus the
 /// reactor and its sockets.
@@ -331,7 +331,7 @@ fn serve_suite(skip_tcp: bool) -> JunitSuite {
             suite.cases.push(JunitCase::fail(
                 "afta.e8",
                 &name,
-                &format!("seed {seed:#x} diverged between sim and {reference_kind} frontends"),
+                &format!("seed {seed:#x} diverged between the sim and {reference_kind} legs"),
                 &first_diff,
             ));
         }

@@ -33,7 +33,7 @@ use afta_fuzz::{
     assert_one_minimal, generate, load_corpus, replay_reproducer, run_schedule, shrink, BugFlags,
     Profile, Reproducer, RunConfig, Schedule, DEFAULT_MAX_STEPS,
 };
-use afta_sim::SeedFactory;
+use afta_sim::{parse_seed, SeedFactory};
 use afta_telemetry::Registry;
 
 const USAGE: &str = "usage: afta-fuzz <run|replay|shrink> [options]  (see --help)";
@@ -84,16 +84,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     }
 }
 
-fn parse_seed(text: &str) -> Result<u64, String> {
-    let text = text.trim();
-    let parsed = if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        text.parse::<u64>()
-    };
-    parsed.map_err(|_| format!("bad seed `{text}` (decimal or 0x-hex)"))
-}
-
 fn parse_profile(text: &str) -> Result<Profile, String> {
     match text {
         "battery" => Ok(Profile::Battery),
@@ -103,13 +93,10 @@ fn parse_profile(text: &str) -> Result<Profile, String> {
 }
 
 fn master_seed(flag: Option<String>) -> Result<u64, String> {
-    if let Some(text) = flag {
-        return parse_seed(&text);
-    }
-    if let Ok(text) = std::env::var("AFTA_SEED") {
-        return parse_seed(&text);
-    }
-    Ok(DEFAULT_SEED)
+    let Some(text) = flag.or_else(|| std::env::var("AFTA_SEED").ok()) else {
+        return Ok(DEFAULT_SEED);
+    };
+    parse_seed(&text).ok_or_else(|| format!("bad seed `{}` (decimal or 0x-hex)", text.trim()))
 }
 
 fn cmd_run(args: &[String]) -> Result<u8, String> {

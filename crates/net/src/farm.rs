@@ -32,7 +32,7 @@ use afta_switchboard::controller::{Decision, RedundancyController, RedundancyPol
 use afta_telemetry::{Counter, FixedHistogram, Registry, TelemetryEvent, Tick};
 use afta_voting::{RoundArena, VoteOutcome, VoteTelemetry};
 
-use crate::{NameIntern, NetError, NodeId, Transport, Wire, RTT_BOUNDS_NS};
+use crate::{NetError, NodeId, Transport, Wire, RTT_BOUNDS_NS};
 
 /// Tuning knobs of a [`DistributedVotingFarm`].
 #[derive(Debug, Clone)]
@@ -164,11 +164,10 @@ impl DistributedVotingFarm {
     ) -> Self {
         assert!(!pool.is_empty(), "a voting farm needs at least one voter");
         let controller = RedundancyController::new(config.policy);
-        let intern = NameIntern::default();
         let peers = pool
             .iter()
             .map(|&p| {
-                let timeouts = registry.counter(intern.get(format!("net.peer.{p}.timeouts")));
+                let timeouts = registry.scoped(format!("net.peer.{p}")).counter("timeouts");
                 (
                     p,
                     PeerState {

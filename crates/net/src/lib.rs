@@ -60,7 +60,6 @@ pub use farm::{run_voter, DistributedVotingFarm, FarmConfig, NetRoundReport};
 pub use sim::{LinkProfile, SimNetwork, SimTransport};
 pub use tcp::{TcpConfig, TcpTransport};
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -278,33 +277,6 @@ impl Inbox {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-peer metric names
-// ---------------------------------------------------------------------------
-
-/// Interns per-peer metric names so they can feed the `'static`-keyed
-/// telemetry registry.  The peer set of a deployment is small and fixed,
-/// so the leaked memory is bounded by it.
-#[derive(Debug, Default)]
-pub(crate) struct NameIntern {
-    names: Mutex<HashMap<String, &'static str>>,
-}
-
-impl NameIntern {
-    pub(crate) fn get(&self, name: String) -> &'static str {
-        let mut names = self
-            .names
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(&interned) = names.get(&name) {
-            return interned;
-        }
-        let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-        names.insert(name, leaked);
-        leaked
-    }
-}
-
 /// Histogram bounds for round-trip times, in nanoseconds (50µs to 1s;
 /// above that a reply has almost certainly missed any sane deadline).
 pub const RTT_BOUNDS_NS: [u64; 10] = [
@@ -394,14 +366,6 @@ mod tests {
         t.join().unwrap();
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
         assert_eq!(inbox.len(), 0);
-    }
-
-    #[test]
-    fn intern_reuses_names() {
-        let intern = NameIntern::default();
-        let a = intern.get("net.peer.n1.sent".into());
-        let b = intern.get("net.peer.n1.sent".into());
-        assert!(std::ptr::eq(a, b));
     }
 
     #[test]

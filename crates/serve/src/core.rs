@@ -13,13 +13,14 @@
 //! 2. [`ServerCore::pump`] — drains one tenant's mailbox and processes
 //!    the requests in FIFO order, producing reply frames.
 //!
-//! The split is what makes one core serve two worlds: the deterministic
-//! sim frontend ([`serve_transport`](crate::serve_transport)) pumps
-//! after every enqueue on one thread, while the TCP reactor enqueues on
-//! its poll thread and lets a worker pool pump — the mailbox *is* the
-//! reactor-to-worker queue, so backpressure is the same object in both.
-//! Both frontends reach the core through `&mut self` (the reactor under
-//! its core lock), so a mailbox never has two writers.
+//! The split is what lets one core serve both a network and a single
+//! thread.  The TCP [`Reactor`](crate::Reactor), the one network
+//! frontend, enqueues on its poll thread and lets a worker pool pump:
+//! the mailbox *is* the reactor-to-worker queue, so backpressure needs
+//! no second object.  In-process callers (E8's deterministic `sim` leg,
+//! the fuzzer's churn driver, the examples) pump after every enqueue on
+//! one thread.  Every caller reaches the core through `&mut self` (the
+//! reactor under its core lock), so a mailbox never has two writers.
 //!
 //! Every frame that reaches [`ServerCore::enqueue`] counts in
 //! `serve.frames` and in exactly one of `serve.handled`,
@@ -32,10 +33,9 @@ use afta_telemetry::{Counter, Registry};
 use crate::proto::{Body, Frame, ProtoError, RejectReason, Reply, Request, TenantId};
 use crate::tenant::{Lifecycle, Tenant, TenantQuotas};
 
-/// Where a frame came from and where replies go: a transport-level
-/// return address.  The sim frontend uses the peer's `NodeId`; the TCP
-/// reactor uses a connection id (offset so the two ranges cannot
-/// collide).
+/// Where a frame came from and where replies go: a return address the
+/// caller chooses.  The TCP reactor uses a connection id; an in-process
+/// caller names its clients however it likes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientAddr(pub u64);
 

@@ -1,13 +1,13 @@
-//! E8 — the serving differential: one server core, two transports.
+//! E8 — the serving differential: one server core, two legs.
 //!
 //! E7 proved one *voting farm* behaves identically over the simulated
 //! network and real TCP.  E8 raises the stakes to the whole multi-tenant
 //! service: N tenants × M client streams drive voting rounds and
 //! assumption observations through the full admission / mailbox / pump
-//! path, once over [`SimTransport`] (single deterministic thread,
-//! [`serve_transport`])
-//! and once over loopback TCP through the [`Reactor`] and its worker
-//! pool — and every per-tenant digest must come back **bit-identical**.
+//! path, once in process (the `sim` leg: [`ServerCore::enqueue`] and
+//! [`ServerCore::pump`] on the calling thread, with no transport) and
+//! once over loopback TCP through the [`Reactor`] and its worker pool —
+//! and every per-tenant digest must come back **bit-identical**.
 //!
 //! Three properties make that possible, and the experiment exists to
 //! keep them true:
@@ -24,24 +24,22 @@
 //! `ci/pins.toml` as `serve_e8_*`, so a regression in any layer —
 //! protocol, mailbox, voting, reactor — turns the differential red.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use afta_net::{NetError, NodeId, SimNetwork, SimTransport, Transport, TransportKind};
+use afta_net::TransportKind;
 use afta_sim::{fnv1a_64, SeedFactory, FNV_OFFSET};
 use afta_telemetry::Registry;
 use rand::Rng;
 use serde::Serialize;
 
-use crate::core::{ServeConfig, ServerCore};
+use crate::core::{ClientAddr, Enqueued, ServeConfig, ServerCore};
 use crate::proto::{
     next_framed, write_framed, Body, Frame, Reply, Request, TenantDigest, TenantId,
 };
 use crate::reactor::{Reactor, ReactorConfig};
-use crate::serve_transport;
 
 /// Parameters of one E8 run.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +52,8 @@ pub struct ServeExperimentConfig {
     pub clients: u32,
     /// Voting rounds each tenant completes.
     pub rounds: u64,
-    /// Which backend carries the traffic.
+    /// Which leg carries the traffic: `Sim` calls the [`ServerCore`] in
+    /// process, `Tcp` goes through the [`Reactor`].
     pub transport: TransportKind,
     /// Per-tenant mailbox capacity requested at registration (0 = the
     /// server default).
@@ -77,12 +76,12 @@ impl Default for ServeExperimentConfig {
 /// What one E8 run produced.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeExperimentReport {
-    /// Which backend carried the traffic (`"sim"` or `"tcp"`).
+    /// Which leg carried the traffic (`"sim"` or `"tcp"`).
     pub transport: String,
     /// The seed the run was driven by.
     pub seed: u64,
     /// Per-tenant digests, in tenant-id order — the values the
-    /// differential compares bit-for-bit across transports.
+    /// differential compares bit-for-bit across the legs.
     pub digests: Vec<TenantDigest>,
     /// FNV-1a fold of every per-tenant digest, in hex: one pinnable
     /// string for the whole run.
@@ -104,7 +103,7 @@ const E8_BALLOT_MIN: i64 = -100;
 const E8_BALLOT_MAX: i64 = 100;
 
 /// The ballot `client` casts for `round` of `tenant`'s vote: a pure
-/// function of the seed, so both transports generate identical traffic
+/// function of the seed, so both legs generate identical traffic
 /// without sharing any state.  Most clients agree on the round's
 /// consensus value; each dissents with probability 1/8 on its own named
 /// seed stream.
@@ -136,32 +135,39 @@ pub fn observe_value(seed: u64, tenant: u16, client: u32, round: u64) -> i64 {
     }
 }
 
-/// One client connection, abstracted over the backend so the sim and
-/// TCP runs share the exact same lock-step driver.
+/// Every client of one run, numbered `tenant * clients + client`, so
+/// the in-process and TCP legs share the exact same lock-step driver.
 trait ClientLink {
-    fn send(&mut self, frame: &Frame);
-    fn recv(&mut self) -> Frame;
+    fn send(&mut self, client: usize, frame: &Frame);
+    fn recv(&mut self, client: usize) -> Frame;
 }
 
-/// A sim client: one [`SimTransport`] endpoint; the frame is the
-/// envelope payload.
-struct SimClient {
-    ep: SimTransport,
+/// The `sim` leg: one [`ServerCore`] driven on the calling thread.  A
+/// client's address is its number, and each client reads its replies
+/// from its own queue.
+struct InProcess {
+    core: ServerCore,
+    inboxes: Vec<VecDeque<Vec<u8>>>,
 }
 
-impl ClientLink for SimClient {
-    fn send(&mut self, frame: &Frame) {
-        self.ep
-            .send(NodeId(0), frame.encode())
-            .expect("sim send to the server");
+impl ClientLink for InProcess {
+    fn send(&mut self, client: usize, frame: &Frame) {
+        let from = ClientAddr(client as u64);
+        let replies = match self.core.enqueue(from, &frame.encode()) {
+            Enqueued::Handled(replies) | Enqueued::Rejected(replies) => replies,
+            Enqueued::Queued(tenant) => self.core.pump(tenant),
+        };
+        for (to, bytes) in replies {
+            let to = usize::try_from(to.0).expect("replies go to a client of this run");
+            self.inboxes[to].push_back(bytes);
+        }
     }
 
-    fn recv(&mut self) -> Frame {
-        match self.ep.recv_deadline(Duration::from_secs(10)) {
-            Ok(envelope) => Frame::decode(&envelope.payload).expect("server sends valid frames"),
-            Err(NetError::Timeout) => panic!("no reply from the sim server within 10s"),
-            Err(e) => panic!("sim client transport failed: {e}"),
-        }
+    fn recv(&mut self, client: usize) -> Frame {
+        let bytes = self.inboxes[client]
+            .pop_front()
+            .unwrap_or_else(|| panic!("client {client} awaits a reply the server never sent"));
+        Frame::decode(&bytes).expect("server sends valid frames")
     }
 }
 
@@ -230,19 +236,19 @@ impl TcpClient {
     }
 }
 
-impl ClientLink for TcpClient {
-    fn send(&mut self, frame: &Frame) {
-        TcpClient::send(self, frame);
+impl ClientLink for Vec<TcpClient> {
+    fn send(&mut self, client: usize, frame: &Frame) {
+        self[client].send(frame);
     }
 
-    fn recv(&mut self) -> Frame {
-        TcpClient::recv(self)
+    fn recv(&mut self, client: usize) -> Frame {
+        self[client].recv()
     }
 }
 
-/// Receives one reply frame, panicking on anything else.
-fn recv_reply(client: &mut dyn ClientLink) -> Reply {
-    match client.recv().body {
+/// Receives `client`'s next reply frame, panicking on anything else.
+fn recv_reply(link: &mut impl ClientLink, client: usize) -> Reply {
+    match link.recv(client).body {
         Body::Reply(reply) => reply,
         Body::Request(r) => panic!("server sent a request: {r:?}"),
     }
@@ -252,24 +258,25 @@ fn recv_reply(client: &mut dyn ClientLink) -> Reply {
 /// has every client observe and ballot (awaiting each reply before the
 /// next request), drains the round-result broadcast, and finally reads
 /// every tenant's digest.  One request is in flight at a time, so the
-/// traffic — and therefore the evidence — is identical on both
-/// backends.
-fn drive(clients: &mut [Box<dyn ClientLink>], config: &ServeExperimentConfig) -> Vec<TenantDigest> {
+/// traffic — and therefore the evidence — is identical on both legs.
+fn drive(link: &mut impl ClientLink, config: &ServeExperimentConfig) -> Vec<TenantDigest> {
     let per = config.clients as usize;
     let idx = |t: u16, c: u32| usize::from(t) * per + c as usize;
     for t in 0..config.tenants {
-        let client = &mut clients[idx(t, 0)];
-        client.send(&Frame::request(
-            TenantId(t),
-            0,
-            Request::RegisterTenant {
-                expected_clients: config.clients,
-                mailbox_cap: config.mailbox_cap,
-                ballot_min: E8_BALLOT_MIN,
-                ballot_max: E8_BALLOT_MAX,
-            },
-        ));
-        match recv_reply(client.as_mut()) {
+        link.send(
+            idx(t, 0),
+            &Frame::request(
+                TenantId(t),
+                0,
+                Request::RegisterTenant {
+                    expected_clients: config.clients,
+                    mailbox_cap: config.mailbox_cap,
+                    ballot_min: E8_BALLOT_MIN,
+                    ballot_max: E8_BALLOT_MAX,
+                },
+            ),
+        );
+        match recv_reply(link, idx(t, 0)) {
             Reply::Registered { tenant } => assert_eq!(tenant, t),
             other => panic!("tenant {t} registration refused: {other:?}"),
         }
@@ -277,28 +284,34 @@ fn drive(clients: &mut [Box<dyn ClientLink>], config: &ServeExperimentConfig) ->
     for round in 1..=config.rounds {
         for t in 0..config.tenants {
             for c in 0..config.clients {
-                let client = &mut clients[idx(t, c)];
-                client.send(&Frame::request(
-                    TenantId(t),
-                    c,
-                    Request::Observe {
-                        key: "ballot".into(),
-                        value: observe_value(config.seed, t, c, round),
-                    },
-                ));
-                match recv_reply(client.as_mut()) {
+                let client = idx(t, c);
+                link.send(
+                    client,
+                    &Frame::request(
+                        TenantId(t),
+                        c,
+                        Request::Observe {
+                            key: "ballot".into(),
+                            value: observe_value(config.seed, t, c, round),
+                        },
+                    ),
+                );
+                match recv_reply(link, client) {
                     Reply::Observed { .. } => {}
                     other => panic!("t{t}/c{c}/r{round}: expected Observed, got {other:?}"),
                 }
-                client.send(&Frame::request(
-                    TenantId(t),
-                    c,
-                    Request::Ballot {
-                        round,
-                        value: ballot_value(config.seed, t, c, round),
-                    },
-                ));
-                match recv_reply(client.as_mut()) {
+                link.send(
+                    client,
+                    &Frame::request(
+                        TenantId(t),
+                        c,
+                        Request::Ballot {
+                            round,
+                            value: ballot_value(config.seed, t, c, round),
+                        },
+                    ),
+                );
+                match recv_reply(link, client) {
                     Reply::BallotAccepted { round: r } => assert_eq!(r, round),
                     other => panic!("t{t}/c{c}/r{round}: expected BallotAccepted, got {other:?}"),
                 }
@@ -306,7 +319,7 @@ fn drive(clients: &mut [Box<dyn ClientLink>], config: &ServeExperimentConfig) ->
             // The barrier is now met: every stream receives the round
             // broadcast.
             for c in 0..config.clients {
-                match recv_reply(clients[idx(t, c)].as_mut()) {
+                match recv_reply(link, idx(t, c)) {
                     Reply::RoundResult(result) => assert_eq!(result.round, round),
                     other => panic!("t{t}/c{c}/r{round}: expected RoundResult, got {other:?}"),
                 }
@@ -315,9 +328,8 @@ fn drive(clients: &mut [Box<dyn ClientLink>], config: &ServeExperimentConfig) ->
     }
     let mut digests = Vec::with_capacity(usize::from(config.tenants));
     for t in 0..config.tenants {
-        let client = &mut clients[idx(t, 0)];
-        client.send(&Frame::request(TenantId(t), 0, Request::Digest));
-        match recv_reply(client.as_mut()) {
+        link.send(idx(t, 0), &Frame::request(TenantId(t), 0, Request::Digest));
+        match recv_reply(link, idx(t, 0)) {
             Reply::Digest(digest) => digests.push(digest),
             other => panic!("tenant {t} digest refused: {other:?}"),
         }
@@ -345,46 +357,23 @@ fn report_from(
     }
 }
 
-/// Runs E8 over the deterministic [`SimNetwork`]: the server core on
-/// one thread behind [`serve_transport`], every client an endpoint of
-/// the same simulated network.
-fn run_on_sim(config: &ServeExperimentConfig, registry: &Registry) -> ServeExperimentReport {
-    let total = usize::from(config.tenants) * config.clients as usize;
-    assert!(
-        total < usize::from(u16::MAX),
-        "tenants * clients must fit the sim's u16 node-id space"
-    );
-    let net = SimNetwork::new(config.seed);
-    let server_ep = net.endpoint(NodeId(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let stop = Arc::clone(&stop);
-        let registry = registry.clone();
-        let serve = ServeConfig {
-            seed: config.seed,
-            ..ServeConfig::default()
-        };
-        std::thread::spawn(move || {
-            let mut core = ServerCore::new(serve, &registry);
-            serve_transport(&server_ep, &mut core, &stop);
-        })
+/// Runs E8's `sim` leg: one [`ServerCore`] on the calling thread,
+/// every frame admitted and its tenant pumped before the next is sent.
+/// The run fails if any reply is left unread, so a reply the server
+/// duplicated or sent to the wrong client cannot go unnoticed.
+fn run_in_process(config: &ServeExperimentConfig, registry: &Registry) -> ServeExperimentReport {
+    let serve = ServeConfig {
+        seed: config.seed,
+        ..ServeConfig::default()
     };
-    let mut clients: Vec<Box<dyn ClientLink>> = Vec::with_capacity(total);
-    for t in 0..config.tenants {
-        for c in 0..config.clients {
-            let node = NodeId(
-                u16::try_from(1 + usize::from(t) * config.clients as usize + c as usize)
-                    .expect("checked above"),
-            );
-            clients.push(Box::new(SimClient {
-                ep: net.endpoint(node),
-            }));
-        }
-    }
-    let digests = drive(&mut clients, config);
-    stop.store(true, Ordering::Release);
-    net.close();
-    server.join().expect("server thread exits cleanly");
+    let total = usize::from(config.tenants) * config.clients as usize;
+    let mut link = InProcess {
+        core: ServerCore::new(serve, registry),
+        inboxes: vec![VecDeque::new(); total],
+    };
+    let digests = drive(&mut link, config);
+    let unread: usize = link.inboxes.iter().map(VecDeque::len).sum();
+    assert_eq!(unread, 0, "{unread} replies were never read");
     report_from(TransportKind::Sim, config, digests)
 }
 
@@ -399,29 +388,26 @@ fn run_on_tcp(config: &ServeExperimentConfig, registry: &Registry) -> ServeExper
         .expect("bind the loopback reactor");
     let addr = reactor.local_addr();
     let total = usize::from(config.tenants) * config.clients as usize;
-    let mut clients: Vec<Box<dyn ClientLink>> = (0..total)
-        .map(|_| Box::new(TcpClient::connect(addr)) as Box<dyn ClientLink>)
-        .collect();
+    let mut clients: Vec<TcpClient> = (0..total).map(|_| TcpClient::connect(addr)).collect();
     let digests = drive(&mut clients, config);
     reactor.shutdown();
     report_from(TransportKind::Tcp, config, digests)
 }
 
-/// Runs one E8 experiment on the backend named by
-/// `config.transport`.
+/// Runs one E8 experiment on the leg named by `config.transport`.
 #[must_use]
 pub fn run_serve_experiment(
     config: &ServeExperimentConfig,
     registry: &Registry,
 ) -> ServeExperimentReport {
     match config.transport {
-        TransportKind::Sim => run_on_sim(config, registry),
+        TransportKind::Sim => run_in_process(config, registry),
         TransportKind::Tcp => run_on_tcp(config, registry),
     }
 }
 
 /// Runs the full differential — the same configuration over both
-/// backends — and returns `(sim, tcp)`.  The caller asserts the digests
+/// legs — and returns `(sim, tcp)`.  The caller asserts the digests
 /// match; [`differential_matches`] does it for you.
 #[must_use]
 pub fn run_serve_differential(

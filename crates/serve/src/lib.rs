@@ -16,14 +16,13 @@
 //!   through a bounded per-tenant mailbox, a queue capped at exactly
 //!   the tenant's `mailbox_cap` ([`ServerCore`]); overflow rejects with
 //!   a retry-after hint instead of shedding.
-//! * **A poll-based reactor** ([`Reactor`]) replaces
-//!   thread-per-connection on the TCP path: one readiness loop over
-//!   non-blocking sockets plus a small worker pool that pumps tenant
-//!   mailboxes.
-//! * **The deterministic story stays intact.**  The same [`ServerCore`]
-//!   runs over [`afta_net::SimTransport`] via [`serve_transport`], and
-//!   the E8 differential ([`experiment`]) demands bit-identical
-//!   per-tenant digests from the sim and TCP frontends.
+//! * **One network frontend**, the poll-based [`Reactor`]: one
+//!   readiness loop over non-blocking sockets plus a small worker pool
+//!   that pumps tenant mailboxes, instead of a thread per connection.
+//! * **The deterministic story stays intact.**  The E8 differential
+//!   ([`experiment`]) sends the same seeded traffic through the reactor
+//!   and, in process on one thread, straight into a [`ServerCore`] (its
+//!   `sim` leg), and demands bit-identical per-tenant digests from both.
 //!
 //! ## Quickstart (deterministic, in-process)
 //!
@@ -60,11 +59,6 @@ pub use crate::proto::{Body, Frame, RejectReason, Reply, Request, TenantDigest, 
 pub use crate::reactor::{Reactor, ReactorConfig};
 pub use crate::tenant::{Lifecycle, Tenant, TenantQuotas};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-
-use afta_net::{NetError, Transport};
-
 /// The `afta-serve` CLI surface, shared by the binary and the
 /// documentation-sync test so `docs/OPERATIONS.md` can never document a
 /// flag that does not exist.
@@ -80,8 +74,8 @@ USAGE:
 
 COMMANDS:
     serve   Bind the poll-based reactor and host tenants until killed.
-    e8      Run the E8 differential (sim vs. TCP loopback) and print the
-            per-tenant digests; `both` exits nonzero on any mismatch.
+    e8      Run the E8 differential (in process vs. TCP loopback) and print
+            the per-tenant digests; `both` exits nonzero on any mismatch.
     soak    Open N concurrent connections against an in-process reactor,
             drive one monitored observation per connection, and verify
             nothing is lost (the NoLostShard soak).
@@ -103,35 +97,3 @@ OPTIONS:
     --timeout-ms N        Soak wall-clock budget (default 60000)
     --json PATH           Also write the machine-readable report to PATH
 ";
-
-/// Serves one [`Transport`] endpoint with a [`ServerCore`] until `stop`
-/// is set (checked between frames) or the transport closes.
-///
-/// This is the deterministic frontend: everything happens on the
-/// calling thread — a frame is admitted, its tenant pumped, and the
-/// replies sent before the next frame is read.  Run it over a
-/// [`afta_net::SimTransport`] endpoint and the whole server becomes a
-/// pure function of the seed and the client traffic, which is what the
-/// E8 differential pins.
-pub fn serve_transport(transport: &dyn Transport, core: &mut ServerCore, stop: &AtomicBool) {
-    let idle = Duration::from_millis(5);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let envelope = match transport.recv_deadline(idle) {
-            Ok(envelope) => envelope,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return,
-        };
-        let addr = ClientAddr(u64::from(envelope.from.0));
-        let mut replies = match core.enqueue(addr, &envelope.payload) {
-            Enqueued::Handled(replies) | Enqueued::Rejected(replies) => replies,
-            Enqueued::Queued(tenant) => core.pump(tenant),
-        };
-        for (dest, bytes) in replies.drain(..) {
-            let node = afta_net::NodeId(u16::try_from(dest.0 & 0xFFFF).unwrap_or(0));
-            let _ = transport.send(node, bytes);
-        }
-    }
-}

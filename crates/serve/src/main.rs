@@ -15,6 +15,7 @@ use afta_serve::proto::{next_framed, write_framed};
 use afta_serve::{
     Body, Frame, Reactor, ReactorConfig, Reply, Request, ServeConfig, TenantId, CLI_HELP,
 };
+use afta_sim::parse_seed;
 use afta_telemetry::Registry;
 
 fn main() -> ExitCode {
@@ -49,20 +50,13 @@ fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
         .unwrap_or(default)
 }
 
-/// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`.
-/// `0x`-prefixed values parse as hex, everything else as decimal.
+/// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`,
+/// each read by [`parse_seed`] (decimal or `0x`-hex).
 fn seed_flag(args: &[String], default: u64) -> u64 {
-    let parse = |text: &str| {
-        let text = text.trim();
-        if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            u64::from_str_radix(hex, 16).ok()
-        } else {
-            text.parse().ok()
-        }
-    };
+    let env = std::env::var("AFTA_SEED").ok();
     flag(args, "--seed")
-        .and_then(parse)
-        .or_else(|| std::env::var("AFTA_SEED").ok().as_deref().and_then(parse))
+        .and_then(parse_seed)
+        .or_else(|| env.as_deref().and_then(parse_seed))
         .unwrap_or(default)
 }
 
@@ -107,7 +101,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let reactor_config = ReactorConfig {
         max_connections: num_flag(args, "--max-connections", 16_384),
         workers: num_flag(args, "--workers", 4),
-        ..ReactorConfig::default()
     };
     let serve_config = ServeConfig {
         max_tenants: num_flag(args, "--max-tenants", 256),
@@ -239,7 +232,6 @@ fn cmd_soak(args: &[String]) -> ExitCode {
     let reactor_config = ReactorConfig {
         max_connections: connections + 64,
         workers,
-        ..ReactorConfig::default()
     };
     let serve_config = ServeConfig {
         max_tenants: usize::from(tenants).max(1),

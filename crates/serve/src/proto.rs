@@ -11,18 +11,21 @@
 //! 7       ...   JSON body (a `Request` or a `Reply`)
 //! ```
 //!
-//! Over [`afta_net::Transport`] the frame *is* the envelope payload.
-//! Over raw TCP (the reactor path) each frame is additionally wrapped in
-//! a `u32` big-endian length prefix, so a socket carries
+//! On a socket (the reactor path) each frame is wrapped in a `u32`
+//! big-endian length prefix, so a socket carries
 //! `[len][frame][len][frame]...`.  [`write_framed`] and [`next_framed`]
 //! are the only code that writes or parses that prefix.  It is not
 //! `TcpTransport`'s framing, which puts a tag byte after the length
 //! (`[len][tag][body]`).
 //!
 //! The body stays JSON (like [`afta_net::Wire`]) so frames are
-//! inspectable with nothing fancier than `xxd`; the binary header exists
-//! so the reactor can route a frame to its tenant worker without parsing
-//! JSON on the reactor thread.
+//! inspectable with nothing fancier than `xxd`.  The binary header can
+//! be read without the body ([`Frame::peek_header`]), which is how a
+//! frame whose body does not decode still gets its `bad-frame` reply on
+//! its own tenant and stream.  The header does not keep JSON off the
+//! reactor thread: the reactor admits every frame through
+//! [`ServerCore::enqueue`](crate::ServerCore::enqueue), which decodes
+//! the whole frame there.
 //!
 //! [`Frame::encode`] writes the compact JSON body itself, into the
 //! header's buffer sized to the whole frame: the bytes are the ones

@@ -55,13 +55,20 @@ use afta_telemetry::{Registry, DEFAULT_TIME_BOUNDS_NS};
 use crate::core::{ClientAddr, Enqueued, Outbound, ServeConfig, ServerCore};
 use crate::proto::{next_framed, write_framed, TenantId};
 
-/// Connection ids start here so a reactor [`ClientAddr`] can never
-/// collide with a sim-transport `NodeId` (which is at most `u16::MAX`).
-pub const CONN_ADDR_BASE: u64 = 1 << 32;
-
 /// How long the loop pauses after `poll` or `accept` fails, instead of
 /// retrying at once into the same failure.
 const BACKOFF: Duration = Duration::from_millis(1);
+
+/// Most bytes one `read` call takes from a connection: the size of the
+/// scratch buffer every read goes through.
+const READ_BUFFER: usize = 8 * 1024;
+
+/// Most connections accepted per pass (bounds accept bursts).
+const ACCEPT_BURST: usize = 256;
+
+/// Largest accepted frame, in bytes; a length prefix announcing more
+/// closes the connection.
+const MAX_FRAME: u32 = 1024 * 1024;
 
 /// Tuning knobs of the [`Reactor`].  There is no wake-up interval: the
 /// reactor sleeps in `poll(2)` until a socket, a worker reply or
@@ -72,12 +79,6 @@ pub struct ReactorConfig {
     pub max_connections: usize,
     /// Worker threads pumping tenant mailboxes.
     pub workers: usize,
-    /// Scratch read size per pass and connection, in bytes.
-    pub read_buffer: usize,
-    /// Most connections accepted per pass (bounds accept bursts).
-    pub accept_burst: usize,
-    /// Largest accepted frame; bigger closes the connection.
-    pub max_frame: u32,
 }
 
 impl Default for ReactorConfig {
@@ -85,9 +86,6 @@ impl Default for ReactorConfig {
         Self {
             max_connections: 16_384,
             workers: 4,
-            read_buffer: 8 * 1024,
-            accept_burst: 256,
-            max_frame: 1024 * 1024,
         }
     }
 }
@@ -289,8 +287,8 @@ fn reactor_loop(
     let sweep = registry.histogram("serve.reactor.sweep", &DEFAULT_TIME_BOUNDS_NS);
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = CONN_ADDR_BASE;
-    let mut scratch = vec![0u8; config.read_buffer.max(512)];
+    let mut next_id: u64 = 0;
+    let mut scratch = vec![0u8; READ_BUFFER];
     let mut dead: Vec<u64> = Vec::new();
     // The `poll` set: the listener, the waker, then one entry per open
     // connection, whose ids `polled` lists in the same order.  Both grow
@@ -339,7 +337,7 @@ fn reactor_loop(
 
         // Accept burst, up to the admission cap.
         if own[0].ready(POLLIN) {
-            for _ in 0..config.accept_burst {
+            for _ in 0..ACCEPT_BURST {
                 let stream = match listener.accept() {
                     Ok((stream, _)) => stream,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -413,7 +411,7 @@ fn reactor_loop(
             // Slice complete `[len][frame]` messages off the front.
             let mut start = 0usize;
             loop {
-                let (frame, used) = match next_framed(&conn.read_buf[start..], config.max_frame) {
+                let (frame, used) = match next_framed(&conn.read_buf[start..], MAX_FRAME) {
                     Ok(Some(sliced)) => sliced,
                     Ok(None) => break,
                     Err(_) => {
@@ -630,40 +628,17 @@ mod tests {
 
     #[test]
     fn an_oversized_prefix_closes_only_its_own_connection() {
-        let config = ReactorConfig {
-            workers: 1,
-            max_frame: 256,
-            ..ReactorConfig::default()
-        };
-        let reactor = Reactor::bind(
-            "127.0.0.1:0",
-            config,
-            ServeConfig::default(),
-            &Registry::new(),
-        )
-        .expect("bind the loopback reactor");
+        let (reactor, _) = loopback();
         let mut good = TcpClient::connect(reactor.local_addr());
-        good.send(&Frame::request(
-            TenantId(1),
-            0,
-            Request::RegisterTenant {
-                expected_clients: 1,
-                mailbox_cap: 0,
-                ballot_min: 0,
-                ballot_max: 1,
-            },
-        ));
-        assert_eq!(
-            good.recv().body,
-            Body::Reply(Reply::Registered { tenant: 1 })
-        );
+        register_tenant_1(&mut good);
 
+        // The prefix alone condemns the connection: the reactor closes
+        // it without waiting for the announced bytes.
         let mut bad = TcpStream::connect(reactor.local_addr()).expect("connect");
         bad.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("set read timeout");
-        let mut oversized = Vec::new();
-        write_framed(&mut oversized, &[0; 257]);
-        bad.write_all(&oversized).expect("send the oversized frame");
+        bad.write_all(&(MAX_FRAME + 1).to_be_bytes())
+            .expect("send the oversized prefix");
         let mut byte = [0u8; 1];
         match bad.read(&mut byte) {
             Ok(0) => {}

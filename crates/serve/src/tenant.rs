@@ -22,8 +22,8 @@
 //! canonical text lines.  Because ballots are buffered per stream and
 //! folded in sorted stream order, the digest depends only on *what* the
 //! clients sent, never on arrival order — which is what lets the E8
-//! differential demand bit-identical digests from `SimTransport` and
-//! real TCP.
+//! differential demand bit-identical digests from a core called in
+//! process and from the TCP reactor's worker pool.
 //!
 //! [`Request::Observe`]: crate::proto::Request::Observe
 //! [`Request::Tick`]: crate::proto::Request::Tick
@@ -60,7 +60,9 @@ pub struct TenantQuotas {
     pub max_streams: u32,
     /// Retry hint handed to throttled clients, in milliseconds.
     pub retry_after_ms: u64,
-    /// Alpha-count threshold above which a stream is quarantined.
+    /// Alpha-count threshold above which a stream is quarantined.  No
+    /// request carries it: a tenant registered over the wire gets the
+    /// default, 3.0.
     pub alpha_threshold: f64,
     /// Lower bound of the tenant's `ballot` context assumption.
     pub ballot_min: i64,

@@ -1,5 +1,5 @@
-//! The E8 differential as an integration test: the sim frontend and the
-//! TCP reactor must be indistinguishable at the digest level.
+//! The E8 differential as an integration test: the in-process `sim` leg
+//! and the TCP reactor must be indistinguishable at the digest level.
 //!
 //! CI runs the full pin-sized differential (8 tenants x 16 streams x 12
 //! rounds) through `afta-serve e8 --transport both` and the `e8.serve`

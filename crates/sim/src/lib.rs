@@ -3,15 +3,20 @@
 //!
 //! Every experiment in the paper (the watchdog/alpha-count scenario of
 //! Fig. 4, the redundancy-adaptation run of Fig. 6, and the 65-million-step
-//! histogram of Fig. 7) is a *simulated* run over virtual time.  This crate
-//! provides the three ingredients those experiments share:
+//! histogram of Fig. 7) is a *simulated* run over virtual time, and each
+//! runs its own step loop.  What they share comes from this crate:
 //!
-//! * a [`VirtualClock`] counting discrete [`Tick`]s,
+//! * the discrete time step, [`Tick`],
 //! * a deterministic, named random-number-stream factory ([`SeedFactory`])
 //!   so that independent subsystems draw from independent but reproducible
-//!   streams, and
-//! * an event [`Scheduler`] plus lightweight statistics helpers
-//!   ([`stats::Histogram`], [`stats::Summary`], [`stats::TimeWeighted`]).
+//!   streams, with [`parse_seed`] reading a master seed from text such as
+//!   `AFTA_SEED`, and
+//! * lightweight statistics helpers ([`stats::Histogram`],
+//!   [`stats::Summary`], [`stats::TimeWeighted`]).
+//!
+//! It also holds a [`VirtualClock`] (and the per-node [`SkewedClock`]
+//! built on it) and an event [`Scheduler`] that pops same-tick events in
+//! FIFO order.
 //!
 //! # Example
 //!
@@ -36,11 +41,9 @@
 
 pub mod clock;
 pub mod events;
-pub mod experiment;
 pub mod rng;
 pub mod stats;
 
 pub use clock::{SkewedClock, Tick, VirtualClock};
 pub use events::Scheduler;
-pub use experiment::{Experiment, RunOutcome, StepControl};
-pub use rng::{fnv1a_64, SeedFactory, FNV_OFFSET};
+pub use rng::{fnv1a_64, parse_seed, SeedFactory, FNV_OFFSET};

@@ -133,6 +133,26 @@ impl SeedFactory {
     }
 }
 
+/// Parses a master seed written the `AFTA_SEED` way: surrounding
+/// whitespace is ignored, a `0x` or `0X` prefix means hexadecimal, and
+/// anything else is decimal.  Returns `None` for text that is empty, not
+/// a number or larger than `u64::MAX`; what a bad seed means is the
+/// caller's policy (a default, or an error).
+///
+/// ```
+/// assert_eq!(afta_sim::parse_seed(" 0xAF7A\n"), Some(0xAF7A));
+/// assert_eq!(afta_sim::parse_seed("42"), Some(42));
+/// assert_eq!(afta_sim::parse_seed("forty-two"), None);
+/// ```
+#[must_use]
+pub fn parse_seed(text: &str) -> Option<u64> {
+    let text = text.trim();
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,5 +236,30 @@ mod tests {
             take4(f.shard(0).stream("faults")),
             take4(f.shard(1).stream("faults"))
         );
+    }
+
+    #[test]
+    fn parse_seed_reads_decimal_and_hex_and_refuses_the_rest() {
+        for (text, want) in [
+            ("42", Some(42)),
+            ("0xAF7A", Some(0xAF7A)),
+            ("0Xaf7a", Some(0xAF7A)),
+            (" \t7\n", Some(7)),
+            (" 0x10 ", Some(16)),
+            ("", None),
+            ("   ", None),
+            ("0x", None),
+            ("nonsense", None),
+            ("0xfg", None),
+            ("12ab", None),
+            ("-1", None),
+            ("0x-1", None),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("0xffffffffffffffff", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("0x10000000000000000", None),
+        ] {
+            assert_eq!(parse_seed(text), want, "parse_seed({text:?})");
+        }
     }
 }

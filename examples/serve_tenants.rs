@@ -2,7 +2,7 @@
 //! `ServerCore`, driven in-process — registration, monitored
 //! observations, a voting round with a barrier, quota backpressure, a
 //! quiesce/evict teardown, and finally the E8 differential in
-//! miniature (sim vs. TCP reactor, bit-identical digests).
+//! miniature (in process vs. TCP reactor, bit-identical digests).
 //!
 //! Run with `cargo run --example serve_tenants`.
 
@@ -121,10 +121,10 @@ fn main() {
         println!("evict tenant 1: digest {}", digest.digest);
     }
 
-    // 5. The same core logic over two wires: the deterministic sim
-    //    frontend and the poll-based TCP reactor must produce
-    //    bit-identical per-tenant digests (E8 in miniature; the
-    //    pin-sized run is `afta-serve e8 --transport both`).
+    // 5. The same core logic with and without a wire: the core called
+    //    in process (the `sim` leg, as above) and the poll-based TCP
+    //    reactor must produce bit-identical per-tenant digests (E8 in
+    //    miniature; the pin-sized run is `afta-serve e8 --transport both`).
     let config = ServeExperimentConfig {
         tenants: 3,
         clients: 4,
