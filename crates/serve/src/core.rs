@@ -319,7 +319,7 @@ impl ServerCore {
                     broadcast_rounds(tenant, &slot.clients, rounds, &mut out);
                 }
                 Request::Tick { round } => {
-                    let rounds = slot.tenant.tick(round);
+                    let rounds = slot.tenant.tick(item.stream, round);
                     broadcast_rounds(tenant, &slot.clients, rounds, &mut out);
                 }
                 // Control requests never reach a mailbox.
@@ -647,6 +647,48 @@ mod tests {
             assert_eq!(rounds.len(), 2 * MAX_TICK_ROUNDS);
             assert_eq!(rounds.iter().max(), Some(&(pass * MAX_TICK_ROUNDS as u64)));
         }
+    }
+
+    #[test]
+    fn ticking_streams_count_against_the_stream_cap() {
+        let config = ServeConfig {
+            max_streams_per_tenant: 4,
+            ..ServeConfig::default()
+        };
+        let mut c = ServerCore::new(config, &Registry::new());
+        register(&mut c, 1, 3, 0);
+        let tick = |stream: u32, round: u64| {
+            Frame::request(TenantId(1), stream, Request::Tick { round }).encode()
+        };
+        // Each fresh stream ticks one round shut from its own address.
+        for stream in 0..8u32 {
+            let verdict = c.enqueue(
+                ClientAddr(u64::from(stream)),
+                &tick(stream, u64::from(stream) + 1),
+            );
+            if stream < 4 {
+                assert!(matches!(verdict, Enqueued::Queued(_)), "{verdict:?}");
+            } else {
+                let Enqueued::Rejected(replies) = verdict else {
+                    panic!("stream {stream} passed a cap of 4");
+                };
+                assert!(matches!(
+                    decoded(&replies)[0],
+                    Reply::Rejected {
+                        reason: RejectReason::StreamLimit,
+                        ..
+                    }
+                ));
+            }
+            c.pump(TenantId(1));
+        }
+        assert!(matches!(
+            c.enqueue(ClientAddr(0), &tick(0, 5)),
+            Enqueued::Queued(_)
+        ));
+        // Stream `s` sent from address `s`, so the fan-out names them.
+        let addrs: Vec<u64> = c.pump(TenantId(1)).iter().map(|(a, _)| a.0).collect();
+        assert_eq!(addrs, [0, 1, 2, 3], "a round reaches attached streams only");
     }
 
     #[test]

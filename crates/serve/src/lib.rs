@@ -6,9 +6,10 @@
 //! each one.  This crate is that service for the AFTA stack:
 //!
 //! * **Many tenants, one server.**  Each [`Tenant`] owns a full
-//!   single-tenant stack — an assumption registry, an alpha-count
-//!   monitor per client stream, majority voting with round barriers,
-//!   and a redundancy controller — behind one shared frontend.
+//!   single-tenant stack — its declared assumption and a count of the
+//!   observations that broke it, an alpha-count monitor per client
+//!   stream, majority voting with round barriers, and a redundancy
+//!   controller — behind one shared frontend.
 //! * **One multiplexed wire protocol.**  Every message is a
 //!   [`proto::Frame`]: `[u16 tenant][u32 stream][u8 kind][JSON body]`,
 //!   so any number of tenants and client streams share one socket.

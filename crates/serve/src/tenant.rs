@@ -1,11 +1,12 @@
-//! One hosted tenant: registry + monitor + voting + redundancy control.
+//! One hosted tenant: assumption + monitor + voting + redundancy control.
 //!
 //! A [`Tenant`] is the single-tenant AFTA stack in miniature, owned by
 //! the server on a client application's behalf (the paper's §5 vision of
 //! assumption failure tolerance as an *ambient service*):
 //!
-//! * an [`AssumptionRegistry`] holding the tenant's declared `ballot`
-//!   range assumption, fed by [`Request::Observe`];
+//! * the tenant's one declared [`Assumption`], that `ballot`
+//!   observations stay within `[ballot_min, ballot_max]`, checked on each
+//!   [`Request::Observe`], and a count of the observations that broke it;
 //! * an [`AlphaCount`] monitor per client stream, judged against each
 //!   completed voting round (the §3.3 restoring organ's memory): a
 //!   stream that dissents or casts no ballot errs
@@ -122,7 +123,11 @@ pub struct Tenant {
     id: TenantId,
     quotas: TenantQuotas,
     state: Lifecycle,
-    registry: AssumptionRegistry,
+    /// The declared `ballot-magnitude` assumption every observation is
+    /// checked against.
+    assumption: Assumption,
+    /// Observations that broke `assumption`.
+    clashes: u64,
     /// Each attached stream's alpha-count; a stream whose verdict is
     /// permanent-or-intermittent counts as quarantined.
     streams: BTreeMap<u32, AlphaCount>,
@@ -140,14 +145,13 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Creates the tenant and registers its `ballot` range assumption.
+    /// Creates the tenant and declares its `ballot` range assumption.
     ///
     /// # Panics
     ///
     /// Panics when `quotas.ballot_min > quotas.ballot_max`.
     #[must_use]
     pub fn new(id: TenantId, quotas: TenantQuotas, scope: Scope) -> Self {
-        let mut registry = AssumptionRegistry::new();
         let assumption = Assumption::builder("ballot-magnitude")
             .statement("client ballots stay within the declared range")
             .kind(AssumptionKind::ThirdPartySoftware)
@@ -158,13 +162,11 @@ impl Tenant {
             .binding_time(BindingTime::RunTime)
             .origin("afta-serve/register-tenant")
             .build();
-        registry
-            .register(assumption)
-            .expect("fresh registry accepts the tenant assumption");
         Self {
             id,
             state: Lifecycle::Active,
-            registry,
+            assumption,
+            clashes: 0,
             streams: BTreeMap::new(),
             pending: BTreeMap::new(),
             cursor: 1,
@@ -220,12 +222,6 @@ impl Tenant {
         self.streams.contains_key(&stream) || (self.streams.len() as u32) < self.quotas.max_streams
     }
 
-    /// Streams currently attached.
-    #[must_use]
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     fn attach(&mut self, stream: u32) {
         let threshold = self.quotas.alpha_threshold;
         self.streams
@@ -233,15 +229,17 @@ impl Tenant {
             .or_insert_with(|| AlphaCount::with_threshold(threshold));
     }
 
-    /// Ingests an observation; returns whether every assumption still
-    /// holds after it.
+    /// Checks an observation against the tenant's assumption; returns
+    /// whether it holds.  Only the `ballot` key is constrained: any other
+    /// key is counted and holds.
     pub fn observe(&mut self, stream: u32, key: &str, value: i64) -> bool {
         self.attach(stream);
         self.observes += 1;
         count(&self.scope, &self.handles.observes, "observes");
-        let report = self.registry.observe(Observation::new(key, value));
-        let satisfied = report.all_satisfied();
+        let satisfied =
+            key != self.assumption.fact_key() || self.assumption.holds_for(&Value::Int(value));
         if !satisfied {
+            self.clashes += 1;
             count(&self.scope, &self.handles.clashes, "clashes");
         }
         satisfied
@@ -275,11 +273,12 @@ impl Tenant {
         out
     }
 
-    /// Forces rounds up to and including `round` to complete, missing
-    /// ballots counting as dissent, but at most [`MAX_TICK_ROUNDS`] of
-    /// them: a further `tick` continues from there.  No-op for rounds
-    /// already completed.
-    pub fn tick(&mut self, round: u64) -> Vec<RoundResult> {
+    /// Attaches `stream`, then forces rounds up to and including `round`
+    /// to complete, missing ballots counting as dissent, but at most
+    /// [`MAX_TICK_ROUNDS`] of them: a further `tick` continues from
+    /// there.  No-op for rounds already completed.
+    pub fn tick(&mut self, stream: u32, round: u64) -> Vec<RoundResult> {
+        self.attach(stream);
         let mut out = Vec::new();
         while self.cursor <= round && out.len() < MAX_TICK_ROUNDS {
             out.push(self.complete_round());
@@ -346,7 +345,6 @@ impl Tenant {
     /// order-independent totals.
     #[must_use]
     pub fn digest(&self) -> TenantDigest {
-        let clashes = self.registry.clash_log().len() as u64;
         let quarantined = self
             .streams
             .values()
@@ -354,14 +352,14 @@ impl Tenant {
             .count() as u32;
         let tail = format!(
             "rounds{} observes{} clashes{} rejected{} q{quarantined}",
-            self.rounds, self.observes, clashes, self.rejected,
+            self.rounds, self.observes, self.clashes, self.rejected,
         );
         let folded = fnv1a_64(self.digest_acc, tail.as_bytes());
         TenantDigest {
             tenant: self.id.0,
             rounds: self.rounds,
             observes: self.observes,
-            clashes,
+            clashes: self.clashes,
             rejected: self.rejected,
             quarantined,
             digest: format!("{folded:016x}"),
@@ -426,22 +424,22 @@ mod tests {
         let mut t = tenant(3);
         t.ballot(0, 1, "a".into());
         t.ballot(1, 1, "a".into());
-        let done = t.tick(1);
+        let done = t.tick(0, 1);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ballots, 2);
         assert_eq!(done[0].value.as_deref(), Some("a"));
         assert_eq!(done[0].dissent, Some(1), "the absent stream dissents");
         // A second tick for the same round is a forced empty round, not
         // a replay.
-        assert_eq!(t.tick(1).len(), 0);
+        assert_eq!(t.tick(0, 1).len(), 0);
     }
 
     #[test]
     fn one_tick_closes_at_most_a_bounded_run_of_rounds() {
         let mut t = tenant(3);
         let rounds = |done: Vec<RoundResult>| done.iter().map(|r| r.round).collect::<Vec<_>>();
-        assert_eq!(rounds(t.tick(1_000)), (1..=64).collect::<Vec<_>>());
-        assert_eq!(rounds(t.tick(1_000)), (65..=128).collect::<Vec<_>>());
+        assert_eq!(rounds(t.tick(0, 1_000)), (1..=64).collect::<Vec<_>>());
+        assert_eq!(rounds(t.tick(0, 1_000)), (65..=128).collect::<Vec<_>>());
         assert_eq!(t.digest().rounds, 128);
     }
 
@@ -467,19 +465,32 @@ mod tests {
         for round in 1..=4 {
             t.ballot(0, round, "a".into());
             t.ballot(1, round, "b".into());
-            let done = t.tick(round);
+            let done = t.tick(0, round);
             assert_eq!(done[0].value, None, "no majority in round {round}");
         }
         assert_eq!(t.digest().quarantined, 1);
     }
 
     #[test]
-    fn observations_feed_the_registry_and_clash_counting() {
+    fn a_ticking_stream_is_attached_and_judged_absent() {
+        let mut t = tenant(3);
+        assert!(t.tick(5, 0).is_empty(), "round 0 is already closed");
+        for round in 1..=4 {
+            for stream in 0..3 {
+                t.ballot(stream, round, "a".into());
+            }
+        }
+        assert_eq!(t.digest().quarantined, 1, "stream 5 never balloted");
+    }
+
+    #[test]
+    fn observations_check_the_assumption_and_count_clashes() {
         let mut t = tenant(1);
         assert!(t.observe(0, "ballot", 100));
         assert!(!t.observe(0, "ballot", 40_000), "out of the declared range");
+        assert!(t.observe(0, "speed", 40_000), "no assumption reads `speed`");
         let d = t.digest();
-        assert_eq!(d.observes, 2);
+        assert_eq!(d.observes, 3);
         assert_eq!(d.clashes, 1);
     }
 
