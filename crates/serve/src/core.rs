@@ -33,6 +33,11 @@ use afta_telemetry::{Counter, Registry};
 use crate::proto::{Body, Frame, ProtoError, RejectReason, Reply, Request, TenantId};
 use crate::tenant::{Lifecycle, Tenant, TenantQuotas};
 
+/// Deepest mailbox a registration may ask for; a `RegisterTenant` with a
+/// larger `mailbox_cap` is refused with `bad-frame`.  Without a bound one
+/// registration could make its tenant queue without limit.
+const MAX_MAILBOX_CAP: usize = 8192;
+
 /// Where a frame came from and where replies go: a return address the
 /// caller chooses.  The TCP reactor uses a connection id; an in-process
 /// caller names its clients however it likes.
@@ -242,9 +247,11 @@ impl ServerCore {
                 ballot_min,
                 ballot_max,
             } => {
-                // A tenant no client can vote in, or with an empty ballot
-                // range, is refused before it exists.
-                if expected_clients == 0 || ballot_min > ballot_max {
+                // A tenant no client can vote in, with an empty ballot
+                // range or with a mailbox deeper than the server allows,
+                // is refused before it exists.
+                if expected_clients == 0 || ballot_min > ballot_max || mailbox_cap > MAX_MAILBOX_CAP
+                {
                     self.metrics.rejected.inc();
                     let reply = reject(tenant, stream, addr, RejectReason::BadFrame, 0);
                     return Enqueued::Rejected(vec![reply]);
@@ -462,19 +469,21 @@ fn reject(
 }
 
 /// Fans completed rounds out to every attached stream of the tenant:
-/// each round's result is encoded once per stream, in place, with only
-/// the header's stream changing.
+/// each round's result is encoded once, and each stream gets a copy of
+/// those bytes with its own id in the header's stream field.
 fn broadcast_rounds(
     tenant: TenantId,
     clients: &BTreeMap<u32, ClientAddr>,
     rounds: Vec<crate::proto::RoundResult>,
     out: &mut Vec<Outbound>,
 ) {
+    out.reserve(rounds.len() * clients.len());
     for result in rounds {
-        let mut frame = Frame::reply(tenant, 0, Reply::RoundResult(result));
+        let encoded = Frame::reply(tenant, 0, Reply::RoundResult(result)).encode();
         for (&stream, &addr) in clients {
-            frame.stream = stream;
-            out.push((addr, frame.encode()));
+            let mut bytes = encoded.clone();
+            Frame::restream(&mut bytes, stream);
+            out.push((addr, bytes));
         }
     }
 }
@@ -585,33 +594,74 @@ mod tests {
     #[test]
     fn round_results_fan_out_to_all_streams() {
         let mut c = core();
-        register(&mut c, 1, 2, 0);
-        for (stream, addr) in [(0u32, 10u64), (1, 11)] {
-            let frame = Frame::request(
-                TenantId(1),
-                stream,
-                Request::Ballot {
-                    round: 1,
-                    value: "v".into(),
-                },
-            );
+        let streams = [0, 1, 255, 65_536, u32::MAX];
+        register(&mut c, 1, streams.len() as u32, 0);
+        // Stream `s` sends from address 1000 + s, so a copy's address
+        // names the stream it was meant for.
+        let addr = |stream: u32| ClientAddr(1000 + u64::from(stream));
+        let send = |c: &mut ServerCore, stream: u32, request: Request| {
+            let frame = Frame::request(TenantId(1), stream, request).encode();
             assert!(matches!(
-                c.enqueue(ClientAddr(addr), &frame.encode()),
+                c.enqueue(addr(stream), &frame),
                 Enqueued::Queued(_)
             ));
+        };
+        for stream in streams {
+            let value = format!("v\"{}", stream % 2);
+            send(&mut c, stream, Request::Ballot { round: 1, value });
         }
-        let out = c.pump(TenantId(1));
-        let results: Vec<&ClientAddr> = out
-            .iter()
-            .filter(|(_, bytes)| {
-                matches!(
-                    Frame::decode(bytes).unwrap().body,
-                    Body::Reply(Reply::RoundResult(_))
-                )
-            })
-            .map(|(addr, _)| addr)
+        // One tick closing two more rounds fans out two rounds at once.
+        send(&mut c, 0, Request::Tick { round: 3 });
+        let mut sent = Vec::new();
+        for (to, bytes) in c.pump(TenantId(1)) {
+            let frame = Frame::decode(&bytes).unwrap();
+            let Body::Reply(Reply::RoundResult(result)) = frame.body else {
+                continue;
+            };
+            assert_eq!(to, addr(frame.stream), "a copy went to another stream");
+            sent.push((result.round, frame.stream));
+            // Byte for byte the frame encoded for its own stream.
+            let fresh =
+                Frame::reply(TenantId(1), frame.stream, Reply::RoundResult(result)).encode();
+            assert_eq!(bytes, fresh, "stream {}", frame.stream);
+        }
+        let want: Vec<(u64, u32)> = (1..=3)
+            .flat_map(|round| streams.map(|stream| (round, stream)))
             .collect();
-        assert_eq!(results, vec![&ClientAddr(10), &ClientAddr(11)]);
+        assert_eq!(sent, want);
+    }
+
+    #[test]
+    fn a_registration_deeper_than_the_mailbox_bound_is_refused() {
+        let registry = Registry::new();
+        let mut c = ServerCore::new(ServeConfig::default(), &registry);
+        register(&mut c, 1, 1, MAX_MAILBOX_CAP);
+        for cap in [MAX_MAILBOX_CAP + 1, usize::MAX] {
+            let frame = Frame::request(
+                TenantId(2),
+                0,
+                Request::RegisterTenant {
+                    expected_clients: 1,
+                    mailbox_cap: cap,
+                    ballot_min: -1,
+                    ballot_max: 1,
+                },
+            );
+            let Enqueued::Rejected(replies) = c.enqueue(ClientAddr(1), &frame.encode()) else {
+                panic!("a mailbox cap of {cap} must be refused");
+            };
+            assert_eq!(
+                decoded(&replies),
+                [Reply::Rejected {
+                    reason: RejectReason::BadFrame,
+                    retry_after_ms: 0
+                }]
+            );
+        }
+        assert_eq!(registry.counter("serve.rejected").get(), 2);
+        assert_eq!(c.tenant_ids(), [TenantId(1)]);
+        // The refused id is still free.
+        register(&mut c, 2, 1, 0);
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub enum Request {
         /// completes when all of them have balloted (or on [`Request::Tick`]).
         expected_clients: u32,
         /// Bounded mailbox capacity (requests queued but not yet
-        /// processed); `0` picks the server default.
+        /// processed); `0` picks the server default, and more than 8192
+        /// is refused with [`RejectReason::BadFrame`].
         mailbox_cap: usize,
         /// Lower bound of the tenant's `ballot` context assumption.
         ballot_min: i64,
@@ -92,9 +93,11 @@ pub enum Request {
     Quiesce,
     /// Removes the tenant and returns its final digest.
     Evict,
-    /// Reports a context fact into the tenant's assumption registry.
+    /// Reports a context fact, checked against the tenant's one declared
+    /// assumption.
     Observe {
-        /// Fact key (the tenant's registered assumption watches `ballot`).
+        /// Fact key (the tenant's assumption watches `ballot`; any other
+        /// key holds).
         key: String,
         /// Observed value.
         value: i64,
@@ -134,8 +137,8 @@ pub enum RejectReason {
     /// The tenant is at its stream cap.
     StreamLimit,
     /// The frame body did not parse, or carried values the server
-    /// cannot act on (a registration with `expected_clients: 0` or
-    /// `ballot_min > ballot_max`).
+    /// cannot act on (a registration with `expected_clients: 0`,
+    /// `ballot_min > ballot_max` or `mailbox_cap` above 8192).
     BadFrame,
 }
 
@@ -185,7 +188,7 @@ pub struct TenantDigest {
     pub tenant: u16,
     /// Voting rounds completed.
     pub rounds: u64,
-    /// Observations accepted into the assumption registry.
+    /// Observations checked against the tenant's declared assumption.
     pub observes: u64,
     /// Assumption clashes those observations raised.
     pub clashes: u64,
@@ -214,9 +217,10 @@ pub enum Reply {
     },
     /// The tenant was removed; this is its final evidence.
     Evicted(TenantDigest),
-    /// An observation was ingested.
+    /// An observation was checked.
     Observed {
-        /// Whether every registered assumption still holds.
+        /// Whether the observation keeps the tenant's declared
+        /// assumption.
         satisfied: bool,
     },
     /// A ballot was queued for its round.
@@ -410,6 +414,18 @@ impl Frame {
             u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]),
             bytes[6],
         ))
+    }
+
+    /// Rewrites the stream field of an encoded frame's header in place,
+    /// leaving the tenant, kind and body as they are: how one encoding
+    /// of a frame is copied to many streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `frame` is shorter than [`FRAME_HEADER_LEN`].
+    pub fn restream(frame: &mut [u8], stream: u32) {
+        let header = &mut frame[..FRAME_HEADER_LEN];
+        header[2..6].copy_from_slice(&stream.to_be_bytes());
     }
 }
 

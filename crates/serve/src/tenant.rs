@@ -31,6 +31,7 @@
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use afta_alphacount::{AlphaCount, Judgment, Verdict};
 use afta_core::prelude::*;
@@ -48,6 +49,19 @@ use crate::proto::{RoundResult, TenantDigest, TenantId};
 /// attached stream, all under the server core's lock; without a bound,
 /// one small frame naming a far-future round would stall the server.
 pub const MAX_TICK_ROUNDS: usize = 64;
+
+/// How far past the cursor a ballot may be buffered: rounds
+/// `cursor..cursor + MAX_PENDING_ROUNDS` keep their ballots, and a
+/// ballot for a later round is dropped, as one for a closed round is.
+/// Without a bound, each distinct far-future round a client names would
+/// hold a buffer until the cursor reached it.
+pub const MAX_PENDING_ROUNDS: u64 = 64;
+
+/// Most bytes of a round's digest line besides its value and decision:
+/// its fixed text with every number at its widest (a `u16` id, a `u64`
+/// round and five `u32` counts).  The `none` shown without a majority is
+/// shorter than the `/m` and count it replaces.
+const LINE_FIXED_MAX: usize = "t r n /m dtof ->  b q".len() + 5 + 20 + 5 * 10;
 
 /// Per-tenant quotas and policy, fixed at registration.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +114,7 @@ pub enum Lifecycle {
 /// use and then held.  Resolving one formats and interns its name under
 /// a process-wide lock ([`Scope::counter`]), many times the cost of the
 /// increment itself, so no event resolves a name.  Registration
-/// resolves none either: six lookups per tenant would multiply the
+/// resolves none either: seven lookups per tenant would multiply the
 /// cost of registering it, for handles it may never use.
 #[derive(Debug, Default)]
 struct Handles {
@@ -109,6 +123,7 @@ struct Handles {
     rounds: OnceCell<Counter>,
     rejected: OnceCell<Counter>,
     quiesced: OnceCell<Counter>,
+    dropped_ballots: OnceCell<Counter>,
     dtof: OnceCell<Gauge>,
 }
 
@@ -131,7 +146,8 @@ pub struct Tenant {
     /// Each attached stream's alpha-count; a stream whose verdict is
     /// permanent-or-intermittent counts as quarantined.
     streams: BTreeMap<u32, AlphaCount>,
-    /// Ballots buffered per round, keyed `round -> stream -> value`.
+    /// Ballots buffered per round, keyed `round -> stream -> value`,
+    /// for rounds below `cursor + MAX_PENDING_ROUNDS` only.
     pending: BTreeMap<u64, BTreeMap<u32, String>>,
     /// The next round to complete; rounds complete strictly in order.
     cursor: u64,
@@ -251,16 +267,17 @@ impl Tenant {
     ///
     /// A round buffers at most `expected_clients` ballots, one per
     /// stream: a further stream's ballot for a full round is dropped,
-    /// like a ballot for a round already completed.
+    /// like a ballot for a round already completed or for one
+    /// [`MAX_PENDING_ROUNDS`] or more past the next to complete.  Each
+    /// dropped ballot counts in `dropped_ballots`.
     pub fn ballot(&mut self, stream: u32, round: u64, value: String) -> Vec<RoundResult> {
         self.attach(stream);
-        if round >= self.cursor {
-            let ballots = self.pending.entry(round).or_default();
-            if (ballots.len() as u32) < self.quotas.expected_clients
-                || ballots.contains_key(&stream)
-            {
-                ballots.insert(stream, value);
-            }
+        if !self.buffer(stream, round, value) {
+            count(
+                &self.scope,
+                &self.handles.dropped_ballots,
+                "dropped_ballots",
+            );
         }
         let mut out = Vec::new();
         while self
@@ -271,6 +288,24 @@ impl Tenant {
             out.push(self.complete_round());
         }
         out
+    }
+
+    /// Buffers `stream`'s ballot for `round` if the round is open and has
+    /// room for it; returns whether it did.
+    fn buffer(&mut self, stream: u32, round: u64, value: String) -> bool {
+        let open = round
+            .checked_sub(self.cursor)
+            .is_some_and(|ahead| ahead < MAX_PENDING_ROUNDS);
+        if !open {
+            return false;
+        }
+        let ballots = self.pending.entry(round).or_default();
+        let room =
+            (ballots.len() as u32) < self.quotas.expected_clients || ballots.contains_key(&stream);
+        if room {
+            ballots.insert(stream, value);
+        }
+        room
     }
 
     /// Attaches `stream`, then forces rounds up to and including `round`
@@ -312,14 +347,22 @@ impl Tenant {
         let decision = decision.to_string();
         let value = report.outcome.value().map(|&v| v.to_string());
         let dissent = report.outcome.dissent().map(|m| m as u32);
-        let shown = match (&value, dissent) {
-            (Some(v), Some(m)) => format!("{v}/m{m}"),
-            _ => "none".to_string(),
-        };
-        let line = format!(
-            "{} r{round} n{n} {shown} dtof{dtof} -> {decision} b{} q{quarantined}",
-            self.id,
-            values.len(),
+        // The digest line, e.g. `t9 r4 n3 z/m1 dtof1 -> hold b2 q0`,
+        // written once into a buffer it cannot outgrow.
+        let mut line = String::with_capacity(
+            LINE_FIXED_MAX + value.as_ref().map_or(0, String::len) + decision.len(),
+        );
+        let _ = write!(line, "{} r{round} n{n} ", self.id);
+        match (&value, dissent) {
+            (Some(v), Some(m)) => {
+                let _ = write!(line, "{v}/m{m}");
+            }
+            _ => line.push_str("none"),
+        }
+        let _ = write!(
+            line,
+            " dtof{dtof} -> {decision} b{} q{quarantined}",
+            values.len()
         );
         self.digest_acc = fnv1a_64(self.digest_acc, line.as_bytes());
         self.digest_acc = fnv1a_64(self.digest_acc, b"\n");
@@ -420,6 +463,40 @@ mod tests {
     }
 
     #[test]
+    fn round_lines_keep_their_text() {
+        // Every digest folds these lines, so any change to their text
+        // changes every digest.
+        let mut t = tenant(3);
+        let mut lines = Vec::new();
+        for (round, ballots) in [
+            (1, ["a", "a", "a"]),
+            (2, ["a", "b", "c"]),
+            (3, ["v12", "v12", "x"]),
+        ] {
+            for (stream, value) in (0..).zip(ballots) {
+                lines.extend(
+                    t.ballot(stream, round, value.into())
+                        .into_iter()
+                        .map(|r| r.line),
+                );
+            }
+        }
+        // A ticked round with one ballot missing.
+        t.ballot(0, 4, "z".into());
+        t.ballot(1, 4, "z".into());
+        lines.extend(t.tick(0, 4).into_iter().map(|r| r.line));
+        assert_eq!(
+            lines,
+            [
+                "t9 r1 n3 a/m0 dtof2 -> hold b3 q0",
+                "t9 r2 n3 none dtof0 -> raise 3 -> 5 b3 q0",
+                "t9 r3 n3 v12/m1 dtof1 -> raise 3 -> 5 b3 q0",
+                "t9 r4 n3 z/m1 dtof1 -> raise 3 -> 5 b2 q0",
+            ]
+        );
+    }
+
+    #[test]
     fn tick_counts_missing_ballots_as_dissent() {
         let mut t = tenant(3);
         t.ballot(0, 1, "a".into());
@@ -456,6 +533,39 @@ mod tests {
         let closed: Vec<(u64, u32)> = done.iter().map(|r| (r.round, r.ballots)).collect();
         assert_eq!(closed, [(1, 3), (2, 3)]);
         assert_eq!(done[1].dissent, Some(0));
+    }
+
+    #[test]
+    fn ballots_outside_the_pending_window_are_dropped_and_counted() {
+        let registry = Registry::new();
+        let quotas = TenantQuotas {
+            expected_clients: 2,
+            ..TenantQuotas::default()
+        };
+        let mut t = Tenant::new(TenantId(4), quotas, registry.scoped("serve.tenant.4"));
+        let last = MAX_PENDING_ROUNDS;
+        // The cursor is at round 1: round `last` is the furthest that
+        // buffers, and a third stream finds it full.
+        assert!(t.ballot(0, last + 1, "late".into()).is_empty());
+        for (stream, value) in [(0, "a"), (1, "a"), (2, "b")] {
+            assert!(t.ballot(stream, last, value.into()).is_empty());
+        }
+        let mut done = Vec::new();
+        for round in 1..last {
+            for stream in 0..2 {
+                done.extend(t.ballot(stream, round, "x".into()));
+            }
+        }
+        let closed = done.last().expect("rounds closed");
+        assert_eq!((closed.round, closed.ballots), (last, 2));
+        assert_eq!(closed.value.as_deref(), Some("a"));
+        // A ballot for a closed round is dropped too; the round that was
+        // out of reach now opens.
+        assert!(t.ballot(0, 1, "x".into()).is_empty());
+        assert!(t.ballot(0, last + 1, "x".into()).is_empty());
+        assert_eq!(t.digest().rounds, last);
+        let report = registry.report();
+        assert_eq!(report.counter("serve.tenant.4.dropped_ballots"), 3);
     }
 
     #[test]

@@ -178,6 +178,11 @@ fn every_server_metric_is_documented() {
             round: 1,
             value: "v".into(),
         },
+        // Dropped: round 1 is closed.
+        Request::Ballot {
+            round: 1,
+            value: "v".into(),
+        },
         Request::Quiesce,
         observe(1), // rejected: the tenant is quiescing
     ] {
@@ -200,7 +205,7 @@ fn every_server_metric_is_documented() {
         .filter(|name| name.starts_with("serve.tenant.3."))
         .collect();
     assert!(
-        tenant_metrics.len() >= 6,
+        tenant_metrics.len() >= 7,
         "the drive reaches every tenant metric: {tenant_metrics:?}"
     );
     for name in tenant_metrics {

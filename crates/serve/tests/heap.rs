@@ -1,9 +1,10 @@
-//! Live-heap proof that observations cannot grow a tenant: a counting
+//! Live-heap proof that client traffic cannot grow a tenant: a counting
 //! global allocator tracks the bytes allocated and not yet freed while
 //! one tenant closes N, then 2N, rounds in which every stream also
 //! observes an out-of-range `ballot` (a clash) and a key never seen
-//! before.  Between N and 2N rounds the live heap may move only by a
-//! small constant, whatever the round count.
+//! before, and one stream also ballots for a round far in the future.
+//! Between N and 2N rounds the live heap may move only by a small
+//! constant, whatever the round count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -77,9 +78,19 @@ fn send(core: &mut ServerCore, stream: u32, request: Request) {
     core.pump(TENANT);
 }
 
+/// A round far past any the tenant will reach, offset by the current
+/// one so that each round names a new one.
+const FAR_ROUNDS: u64 = 1_000_000;
+
 /// One round: every stream observes a clash and a fresh key, then
-/// ballots, and the last ballot closes the round.
+/// ballots, and the last ballot closes the round.  Stream 0 first
+/// ballots for round `FAR_ROUNDS + round`, too far ahead to buffer.
 fn round(core: &mut ServerCore, round: u64) {
+    let far = Request::Ballot {
+        round: FAR_ROUNDS + round,
+        value: "a".into(),
+    };
+    send(core, 0, far);
     for stream in 0..STREAMS {
         let clash = Request::Observe {
             key: "ballot".into(),
@@ -100,7 +111,7 @@ fn round(core: &mut ServerCore, round: u64) {
 }
 
 #[test]
-fn observations_cannot_grow_a_tenant() {
+fn client_traffic_cannot_grow_a_tenant() {
     let mut core = ServerCore::new(ServeConfig::default(), &Registry::disabled());
     let register = Request::RegisterTenant {
         expected_clients: STREAMS,

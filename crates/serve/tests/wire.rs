@@ -7,7 +7,9 @@
 //! followed by serde, on hand-written cases for every rule of that
 //! language, on deep nesting and on seeded byte mutants of encoded
 //! frames.  The same mutants then go through `ServerCore`, which must
-//! answer and count each of them without panicking.
+//! answer and count each of them without panicking.  A frame copied to
+//! another stream with `Frame::restream`, as a round's fan-out copies
+//! it, must be the frame `Frame::encode` writes for that stream.
 
 use afta_serve::proto::{ProtoError, RoundResult, FRAME_HEADER_LEN, KIND_REPLY, KIND_REQUEST};
 use afta_serve::{
@@ -176,6 +178,22 @@ fn encode_writes_the_bytes_serde_renders() {
         assert_eq!(got.capacity(), got.len(), "sized to the frame: {frame:?}");
         assert_eq!(Frame::decode(&got).unwrap(), frame);
         assert!(agree(&got));
+    }
+}
+
+#[test]
+fn a_restreamed_encoding_is_the_encoding_for_that_stream() {
+    for frame in samples() {
+        let encoded = frame.encode();
+        for stream in [0, 1, 255, 65_536, u32::MAX] {
+            let mut copy = encoded.clone();
+            Frame::restream(&mut copy, stream);
+            let fresh = Frame {
+                stream,
+                ..frame.clone()
+            };
+            assert_eq!(copy, fresh.encode(), "stream {stream}: {frame:?}");
+        }
     }
 }
 
