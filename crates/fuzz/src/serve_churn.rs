@@ -250,27 +250,32 @@ impl Churn {
         self.next_round[usize::from(t)] = 1;
     }
 
-    /// Evicts tenant `t`, banking its final digest totals.
+    /// Evicts tenant `t`, counting the replies to what it still had
+    /// queued and banking its final digest totals.
     fn evict(&mut self, t: u16, step: u64) {
         if !self.live[usize::from(t)] {
             return;
         }
         let frame = Frame::request(TenantId(t), 0, Request::Evict);
         match self.core.enqueue(self.addr(t, 0), &frame.encode()) {
-            Enqueued::Handled(out) => {
-                for (_, bytes) in out {
-                    match Frame::decode(&bytes).expect("server frames decode").body {
-                        Body::Reply(Reply::Evicted(digest)) => {
-                            self.banked_rounds += digest.rounds;
-                            self.banked_observes += digest.observes;
-                        }
-                        other => self.violations.push(Violation {
-                            invariant: Invariant::NoLivelock,
-                            strategy: "serve".into(),
-                            step,
-                            detail: format!("t{t} eviction answered {other:?}"),
-                        }),
+            Enqueued::Handled(mut out) => {
+                // The digest comes last, after the answers to the
+                // tenant's queued requests.
+                let last = out
+                    .pop()
+                    .map(|(_, bytes)| Frame::decode(&bytes).expect("server frames decode").body);
+                self.account(&out, step);
+                match last {
+                    Some(Body::Reply(Reply::Evicted(digest))) => {
+                        self.banked_rounds += digest.rounds;
+                        self.banked_observes += digest.observes;
                     }
+                    other => self.violations.push(Violation {
+                        invariant: Invariant::NoLivelock,
+                        strategy: "serve".into(),
+                        step,
+                        detail: format!("t{t} eviction answered {other:?}"),
+                    }),
                 }
             }
             other => self.violations.push(Violation {

@@ -9,7 +9,9 @@
 //!    mailbox.  Control requests (register / quiesce / evict / digest)
 //!    are answered inline.  A full mailbox rejects the frame with a
 //!    retry-after hint instead of shedding it, so nothing admitted is
-//!    ever lost.
+//!    ever lost: an evict pumps the tenant's mailbox before it removes
+//!    the tenant, and answers each queued request to its own sender
+//!    ahead of the final digest, which counts them.
 //! 2. [`ServerCore::pump`] — drains one tenant's mailbox and processes
 //!    the requests in FIFO order, producing reply frames.
 //!
@@ -80,7 +82,9 @@ impl Default for ServeConfig {
 /// What [`ServerCore::enqueue`] did with a frame.
 #[derive(Debug)]
 pub enum Enqueued {
-    /// A control frame: handled inline, here are the replies.
+    /// A control frame: handled inline, here are the replies, each with
+    /// its own address (an `Evict` also answers the requests its tenant
+    /// had queued, to their senders).
     Handled(Vec<Outbound>),
     /// A data frame: admitted into this tenant's mailbox.  Someone must
     /// [`ServerCore::pump`] the tenant.
@@ -276,20 +280,21 @@ impl ServerCore {
                 vec![Reply::Quiesced { tenant: tenant.0 }]
             })),
             Request::Evict => {
-                let replies = match self.tenants.remove(&tenant.0) {
+                // What the tenant admitted is answered first, each reply
+                // to its own sender, so the final digest counts it.
+                let mut replies = self.pump(tenant);
+                match self.tenants.remove(&tenant.0) {
                     Some(slot) => {
+                        self.registry.remove_scoped(&scope_name(tenant));
                         self.metrics.handled.inc();
-                        vec![(
-                            addr,
-                            Frame::reply(tenant, stream, Reply::Evicted(slot.tenant.digest()))
-                                .encode(),
-                        )]
+                        let digest = Reply::Evicted(slot.tenant.digest());
+                        replies.push((addr, Frame::reply(tenant, stream, digest).encode()));
                     }
                     None => {
                         self.metrics.rejected.inc();
-                        vec![reject(tenant, stream, addr, RejectReason::UnknownTenant, 0)]
+                        replies.push(reject(tenant, stream, addr, RejectReason::UnknownTenant, 0));
                     }
-                };
+                }
                 Enqueued::Handled(replies)
             }
             Request::Digest => Enqueued::Handled(self.with_tenant(tenant, stream, addr, |slot| {
@@ -366,7 +371,7 @@ impl ServerCore {
                 self.config.retry_after_ms,
             )];
         }
-        let scope = self.registry.scoped(format!("serve.tenant.{}", tenant.0));
+        let scope = self.registry.scoped(scope_name(tenant));
         self.tenants.insert(
             tenant.0,
             TenantSlot {
@@ -444,6 +449,11 @@ impl ServerCore {
             }
         }
     }
+}
+
+/// The telemetry scope of a tenant's metrics, `serve.tenant.<id>`.
+fn scope_name(tenant: TenantId) -> String {
+    format!("serve.tenant.{}", tenant.0)
 }
 
 /// Encodes one rejection reply.
@@ -785,6 +795,89 @@ mod tests {
             other => panic!("wrong reply {other:?}"),
         }
         assert!(c.tenant_ids().is_empty());
+    }
+
+    #[test]
+    fn an_evict_answers_what_its_tenant_queued() {
+        let mut c = core();
+        register(&mut c, 3, 1, 0);
+        // Stream 0 observes from address 10, stream 1 ballots from 11,
+        // and neither is pumped before address 12 evicts.
+        let queued = [
+            (
+                0,
+                Request::Observe {
+                    key: "ballot".into(),
+                    value: 1,
+                },
+            ),
+            (
+                1,
+                Request::Ballot {
+                    round: 1,
+                    value: "v".into(),
+                },
+            ),
+        ];
+        for (stream, request) in queued {
+            let frame = Frame::request(TenantId(3), stream, request).encode();
+            let addr = ClientAddr(10 + u64::from(stream));
+            assert!(matches!(c.enqueue(addr, &frame), Enqueued::Queued(_)));
+        }
+        let evict = Frame::request(TenantId(3), 0, Request::Evict).encode();
+        let Enqueued::Handled(out) = c.enqueue(ClientAddr(12), &evict) else {
+            panic!("evict is control");
+        };
+        let to: Vec<u64> = out.iter().map(|(addr, _)| addr.0).collect();
+        // The ballot closes round 1, whose result reaches both streams.
+        assert_eq!(to, [10, 11, 10, 11, 12]);
+        let replies = decoded(&out);
+        assert_eq!(replies[0], Reply::Observed { satisfied: true });
+        assert_eq!(replies[1], Reply::BallotAccepted { round: 1 });
+        let Reply::Evicted(digest) = &replies[4] else {
+            panic!("the digest comes last, got {:?}", replies[4]);
+        };
+        assert_eq!((digest.observes, digest.rounds), (1, 1));
+        assert!(c.tenant_ids().is_empty());
+    }
+
+    #[test]
+    fn an_evicted_tenants_metrics_leave_with_it() {
+        let registry = Registry::new();
+        let mut c = ServerCore::new(ServeConfig::default(), &registry);
+        let observe = Frame::request(
+            TenantId(5),
+            0,
+            Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            },
+        )
+        .encode();
+        let evict = Frame::request(TenantId(5), 0, Request::Evict).encode();
+        register(&mut c, 5, 1, 0);
+        c.enqueue(ClientAddr(1), &observe);
+        c.pump(TenantId(5));
+        c.enqueue(ClientAddr(1), &evict);
+        let left = registry.report();
+        assert!(
+            left.counters
+                .keys()
+                .all(|name| !name.starts_with("serve.tenant.5.")),
+            "{:?}",
+            left.counters
+        );
+        // The id registers afresh, and its metrics count only the new
+        // tenant.
+        register(&mut c, 5, 1, 0);
+        c.enqueue(ClientAddr(1), &observe);
+        c.pump(TenantId(5));
+        let digest = c.tenant_digest(TenantId(5)).unwrap();
+        assert_eq!(digest.observes, 1);
+        assert_eq!(
+            registry.report().counter("serve.tenant.5.observes"),
+            digest.observes
+        );
     }
 
     #[test]

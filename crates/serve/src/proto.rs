@@ -30,22 +30,22 @@
 //! [`Frame::encode`] writes the compact JSON body itself, into the
 //! header's buffer sized to the whole frame: the bytes are the ones
 //! `serde_json::to_string` renders from the types' `Serialize` derives,
-//! with no serde `Value` tree built per frame.  [`Frame::decode`] reads
-//! bodies the same way, straight into the types through a private
-//! cursor, and it is what stands between the server and hostile input.
-//! It accepts exactly the JSON that `serde_json::from_str` accepts into
-//! the types' `Deserialize` derives, no more and no less: whitespace
-//! between any two tokens, struct fields in any order, an unknown field
-//! skipped once it parses (nested at most 128 deep), the first of a
-//! repeated field decoded and the others only parsed, a missing
-//! `Option` field read as `None`, keys unescaped before they match, and
-//! integers by the shim's rule (no `.`, `e`, `E`, `+` or inner `-`;
-//! `i64`, else `u64`, then the field's range).  `tests/wire.rs` holds it to that: it
-//! compares `Frame::decode` with `serde_json::from_str` on every rule,
-//! on deep nesting and on seeded byte mutants of encoded frames.
+//! with no serde `Value` tree built per frame.  [`Frame::decode`] is its
+//! mirror, and it is what stands between the server and hostile input:
+//! a private cursor reads the writer's bytes back and nothing else.
+//! Struct fields come in declaration order, variant names unescaped,
+//! integers in canonical decimal (no leading zero, no `-0`), `None` as
+//! `null`, and strings with only the writer's escapes (`\"`, `\\`, `\n`,
+//! `\r`, `\t`, `\b`, `\f`, and lowercase `\u00xx` for the other control
+//! characters), with no whitespace anywhere.  So `Frame::decode(b)` is
+//! `Ok(f)` exactly when `b == f.encode()`: the server assumes its clients
+//! send what it would have written itself, and this is where that
+//! assumption is stated.  `tests/wire.rs` holds the decoder to it with an
+//! oracle built from the serde derives, `serde_json::from_str` followed
+//! by `serde_json::to_string`, which must give the body back: on
+//! hand-written cases and on seeded byte mutants of encoded frames.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
 
 /// Frame kind byte: the body is a [`Request`].
@@ -136,8 +136,8 @@ pub enum RejectReason {
     QuotaExceeded,
     /// The tenant is at its stream cap.
     StreamLimit,
-    /// The frame body did not parse, or carried values the server
-    /// cannot act on (a registration with `expected_clients: 0`,
+    /// The frame body did not decode (see [`Frame::decode`]), or carried
+    /// values the server cannot act on (a registration with `expected_clients: 0`,
     /// `ballot_min > ballot_max` or `mailbox_cap` above 8192).
     BadFrame,
 }
@@ -270,7 +270,8 @@ pub enum ProtoError {
     Truncated,
     /// Unknown kind byte.
     BadKind(u8),
-    /// The JSON body did not parse.
+    /// The body is not UTF-8, or not the encoding of a body of its kind
+    /// (see [`Frame::decode`]).
     BadBody(String),
     /// A stream length prefix announced a frame longer than the limit.
     TooLong(u32),
@@ -281,7 +282,7 @@ impl fmt::Display for ProtoError {
         match self {
             ProtoError::Truncated => write!(f, "frame shorter than its header"),
             ProtoError::BadKind(k) => write!(f, "unknown frame kind {k}"),
-            ProtoError::BadBody(e) => write!(f, "frame body did not parse: {e}"),
+            ProtoError::BadBody(e) => write!(f, "frame body did not decode: {e}"),
             ProtoError::TooLong(len) => write!(f, "length prefix {len} exceeds the frame limit"),
         }
     }
@@ -366,17 +367,20 @@ impl Frame {
         out
     }
 
-    /// Decodes a frame produced by [`Frame::encode`].
+    /// Decodes a frame produced by [`Frame::encode`], and nothing else:
+    /// `Frame::decode(b)` is `Ok(f)` exactly when `b == f.encode()`, so
+    /// every decoded frame encodes back to the bytes it came from.
     ///
     /// The body is UTF-8 JSON read straight into a [`Request`] or a
-    /// [`Reply`], accepting exactly what `serde_json::from_str` does:
-    /// whitespace between tokens, fields in any order, unknown fields
-    /// skipped but parsed, the first of a repeated field kept.
+    /// [`Reply`] as the encoder writes it (see the module docs):
+    /// whitespace, other field orders, unknown or missing fields and
+    /// escapes or numbers written another way are refused.
     ///
     /// # Errors
     ///
     /// Returns a [`ProtoError`] when the buffer is shorter than the
-    /// header, carries an unknown kind byte, or its body fails to parse.
+    /// header, carries an unknown kind byte, or its body is not the
+    /// encoding of a body of that kind.
     pub fn decode(bytes: &[u8]) -> Result<Frame, ProtoError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(ProtoError::Truncated);
@@ -691,31 +695,24 @@ impl Json for Reply {
 // The body reader
 // ---------------------------------------------------------------------------
 
-/// The serde shim's nesting limit: a value nested deeper than this, the
-/// body itself at depth 0, is refused wherever it sits.
-const MAX_DEPTH: usize = 128;
-
-/// A cursor over a JSON body that reads the serde shim's language, its
-/// `Parser` followed by the derives' `from_value`, in one pass and
-/// without building a `Value` tree.  Strings borrow the body until an
-/// escape appears.
+/// A cursor that reads a body back exactly as the writer above writes
+/// it, with nothing before, between or after the writer's bytes.  Each
+/// reading step mirrors one writing step: `fields!` reads what
+/// `object!` writes, [`Reader::variant`] what [`tagged`] and the unit
+/// variants write, [`Reader::integer`] what [`write_u64`] writes and
+/// [`Reader::string`] what `str`'s escaping writes.  So a body decodes
+/// exactly when it is the encoding of what it decodes to.
 struct Reader<'a> {
     text: &'a str,
     pos: usize,
-    /// Nesting of the next value: one more inside each object or array.
-    depth: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Reads the whole of `text` as one `T`, whitespace around it.
+    /// Reads the whole of `text` as one `T`.
     fn document<T: FromJson>(text: &'a str) -> Result<T, ProtoError> {
-        let mut r = Reader {
-            text,
-            pos: 0,
-            depth: 0,
-        };
+        let mut r = Reader { text, pos: 0 };
         let value = T::read_json(&mut r)?;
-        if r.peek().is_some() {
+        if r.pos < text.len() {
             return Err(r.error("trailing characters after the body"));
         }
         Ok(value)
@@ -725,72 +722,68 @@ impl<'a> Reader<'a> {
         ProtoError::BadBody(format!("{what} at byte {}", self.pos))
     }
 
-    /// Skips whitespace and returns the next byte without consuming it.
-    fn peek(&mut self) -> Option<u8> {
-        let bytes = self.text.as_bytes();
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
-            self.pos += 1;
-        }
-        bytes.get(self.pos).copied()
+    /// The bytes not read yet.
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
     }
 
-    /// Skips whitespace and consumes `byte`.
-    fn eat(&mut self, byte: u8) -> Result<(), ProtoError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+    /// Consumes `literal` if the body goes on with it, and says whether
+    /// it did.
+    fn take(&mut self, literal: &str) -> bool {
+        let found = self.rest().starts_with(literal.as_bytes());
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    /// Consumes `literal`, which the body must go on with.
+    fn eat(&mut self, literal: &str) -> Result<(), ProtoError> {
+        if self.take(literal) {
             Ok(())
         } else {
-            Err(self.error(&format!("expected `{}`", char::from(byte))))
+            Err(self.error(&format!("expected `{literal}`")))
         }
     }
 
-    /// Consumes `word` (`null`, `true`, `false`) at the cursor, where
-    /// [`Reader::peek`] left it.
-    fn keyword(&mut self, word: &str) -> Result<(), ProtoError> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{word}`")))
-        }
-    }
-
-    /// Reads a string: no raw control character, and the escapes `\"`,
-    /// `\\`, `\/`, `\b`, `\f`, `\n`, `\r`, `\t` and `\uXXXX`, a high
-    /// surrogate followed at once by its low half.
-    fn string(&mut self) -> Result<Cow<'a, str>, ProtoError> {
-        self.eat(b'"')?;
+    /// Reads a variant name up to and past its closing quote.  Names are
+    /// Rust identifiers, which the writer never escapes, so the name is
+    /// the raw bytes: one with an escape in it names no variant.
+    fn name(&mut self) -> Result<&'a str, ProtoError> {
         let text = self.text;
-        let bytes = text.as_bytes();
-        let mut owned: Option<String> = None;
+        let Some(len) = text[self.pos..].find('"') else {
+            return Err(self.error("unterminated name"));
+        };
+        let name = &text[self.pos..self.pos + len];
+        self.pos += len + 1;
+        Ok(name)
+    }
+
+    /// Reads a string as `str`'s writer writes it: every character but
+    /// `"`, `\` and the control characters verbatim, and those escaped.
+    fn string(&mut self) -> Result<String, ProtoError> {
+        self.eat("\"")?;
+        let text = self.text;
+        let mut out = String::new();
         // `"`, `\` and the control characters are ASCII, which no byte of
         // a multi-byte character is, so every slice below falls on
         // character boundaries.
         loop {
             let run = self.pos;
-            while bytes
-                .get(self.pos)
-                .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.pos += 1;
-            }
-            match bytes.get(self.pos) {
+            self.pos += self
+                .rest()
+                .iter()
+                .take_while(|&&b| b >= 0x20 && b != b'"' && b != b'\\')
+                .count();
+            out.push_str(&text[run..self.pos]);
+            match self.rest().first() {
                 Some(b'"') => {
-                    let tail = &text[run..self.pos];
                     self.pos += 1;
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
+                    return Ok(out);
                 }
                 Some(b'\\') => {
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&text[run..self.pos]);
                     self.pos += 1;
-                    s.push(self.escape()?);
+                    out.push(self.escape()?);
                 }
                 Some(_) => return Err(self.error("unescaped control character in string")),
                 None => return Err(self.error("unterminated string")),
@@ -798,231 +791,95 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads the escape after a `\`.
+    /// Reads the escape after a `\`, one the writer writes: a short
+    /// escape, or `\u00xx` in lowercase hex for a control character that
+    /// has none.
     fn escape(&mut self) -> Result<char, ProtoError> {
-        let Some(&c) = self.text.as_bytes().get(self.pos) else {
-            return Err(self.error("unterminated escape"));
-        };
-        self.pos += 1;
-        Ok(match c {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{08}',
-            b'f' => '\u{0c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let first = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&first) {
-                    if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
-                        return Err(self.error("expected a low surrogate"));
-                    }
-                    self.pos += 2;
-                    let low = self.hex4()?;
-                    if !(0xDC00..0xE000).contains(&low) {
-                        return Err(self.error("invalid low surrogate"));
-                    }
-                    0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
+        let (byte, len) = match *self.rest() {
+            [b'"', ..] => (b'"', 1),
+            [b'\\', ..] => (b'\\', 1),
+            [b'n', ..] => (b'\n', 1),
+            [b'r', ..] => (b'\r', 1),
+            [b't', ..] => (b'\t', 1),
+            [b'b', ..] => (0x08, 1),
+            [b'f', ..] => (0x0c, 1),
+            [b'u', b'0', b'0', hi @ (b'0' | b'1'), lo @ (b'0'..=b'9' | b'a'..=b'f'), ..] => {
+                let lo = if lo <= b'9' {
+                    lo - b'0'
                 } else {
-                    first
+                    lo - b'a' + 10
                 };
-                char::from_u32(code).ok_or_else(|| self.error("invalid unicode escape"))?
+                let byte = (hi - b'0') << 4 | lo;
+                // These five have a short escape, which the writer uses.
+                if matches!(byte, 0x08 | 0x09 | 0x0a | 0x0c | 0x0d) {
+                    return Err(self.error("a long escape for a short one"));
+                }
+                (byte, 5)
             }
-            _ => return Err(self.error("unknown escape sequence")),
-        })
-    }
-
-    /// Reads the four hex digits of a `\u` escape, in either case.
-    fn hex4(&mut self) -> Result<u32, ProtoError> {
-        let mut code = 0;
-        for _ in 0..4 {
-            let digit = self
-                .text
-                .as_bytes()
-                .get(self.pos)
-                .and_then(|&b| char::from(b).to_digit(16))
-                .ok_or_else(|| self.error("bad hex digit in unicode escape"))?;
-            code = code * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(code)
-    }
-
-    /// Consumes the shim's number run, `-?[0-9.eE+-]*`, and says whether
-    /// it is a float: any `.`, `e`, `E` or `+`, or a `-` past the first
-    /// byte.
-    fn number(&mut self) -> (&'a str, bool) {
-        let text = self.text;
-        let bytes = text.as_bytes();
-        let start = self.pos;
-        if bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(&b) = bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
-                _ => break,
-            }
-            self.pos += 1;
-        }
-        (&text[start..self.pos], float)
-    }
-
-    /// Reads an integer as the shim does: a number run with no float
-    /// character, parsed as `i64`, else as `u64`.  Every integer type's
-    /// range lies within the result's, so a field's range check is one
-    /// `try_from`.
-    fn integer(&mut self) -> Result<i128, ProtoError> {
-        let wide = if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            match self.number() {
-                (_, true) => None,
-                (run, false) => run
-                    .parse::<i64>()
-                    .map(i128::from)
-                    .or_else(|_| run.parse::<u64>().map(i128::from))
-                    .ok(),
-            }
-        } else {
-            None
+            _ => return Err(self.error("an escape the writer does not write")),
         };
-        wide.ok_or_else(|| self.error("expected an integer"))
+        self.pos += len;
+        Ok(char::from(byte))
     }
 
-    /// Parses one value of any kind only to check it, as the shim
-    /// parses it: every number it parses is valid here, floats and
-    /// integers past `u64` included, and nesting deeper than
-    /// [`MAX_DEPTH`] is not.
-    fn skip(&mut self) -> Result<(), ProtoError> {
-        if self.depth > MAX_DEPTH {
-            return Err(self.error("JSON nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'"') => self.string().map(drop),
-            Some(b'{') => self.object(|r, _| r.skip()),
-            Some(b'[') => {
-                self.pos += 1;
-                self.depth += 1;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                } else {
-                    loop {
-                        self.skip()?;
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(self.error("expected `,` or `]` in array")),
-                        }
-                    }
-                }
-                self.depth -= 1;
-                Ok(())
-            }
-            Some(b'n') => self.keyword("null"),
-            Some(b't') => self.keyword("true"),
-            Some(b'f') => self.keyword("false"),
-            Some(b'-' | b'0'..=b'9') => {
-                let (run, _) = self.number();
-                run.parse::<f64>()
-                    .map(drop)
-                    .map_err(|_| self.error("invalid number"))
-            }
-            _ => Err(self.error("expected a value")),
-        }
+    /// Reads an integer as [`write_u64`] writes one, after a `-` when
+    /// negative: `0`, or digits with no leading zero, and never `-0`.
+    /// Every integer type's range lies within the result's, so a field's
+    /// range check is one `try_from`.
+    fn integer(&mut self) -> Result<i128, ProtoError> {
+        let negative = self.take("-");
+        let rest = self.rest();
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let leading_zero = rest.first() == Some(&b'0') && (digits > 1 || negative);
+        let magnitude = match self.text[self.pos..self.pos + digits].parse::<u64>() {
+            Ok(magnitude) if !leading_zero => i128::from(magnitude),
+            _ => return Err(self.error("expected an integer as the writer writes it")),
+        };
+        self.pos += digits;
+        Ok(if negative { -magnitude } else { magnitude })
     }
 
-    /// Reads an object, handing each entry's unescaped key to `entry`,
-    /// which must read or skip the entry's value.
-    fn object(
-        &mut self,
-        mut entry: impl FnMut(&mut Self, &str) -> Result<(), ProtoError>,
-    ) -> Result<(), ProtoError> {
-        self.eat(b'{')?;
-        self.depth += 1;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                entry(self, &key)?;
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.error("expected `,` or `}` in object")),
-                }
-            }
-        }
-        self.depth -= 1;
-        Ok(())
-    }
-
-    /// Reads an externally tagged enum: a unit variant is a string that
-    /// `unit` names, a data variant an object of exactly one entry,
-    /// whose payload `data` reads for the entry's key.
+    /// Reads an enum as the writer writes one: a unit variant as its
+    /// quoted name, which `unit` looks up, and a data variant as
+    /// [`tagged`] writes it, `{"Name":payload}`, whose payload `data`
+    /// reads for the name.
     fn variant<T>(
         &mut self,
         unit: impl FnOnce(&str) -> Option<T>,
         data: impl FnOnce(&mut Self, &str) -> Result<T, ProtoError>,
     ) -> Result<T, ProtoError> {
-        if self.peek() == Some(b'"') {
-            let tag = self.string()?;
-            return unit(&tag).ok_or_else(|| self.error("unknown unit variant"));
+        if self.take("\"") {
+            let name = self.name()?;
+            return unit(name).ok_or_else(|| self.error("unknown unit variant"));
         }
-        self.eat(b'{')?;
-        self.depth += 1;
-        let tag = self.string()?;
-        self.eat(b':')?;
-        let value = data(self, &tag)?;
-        self.eat(b'}')?;
-        self.depth -= 1;
+        self.eat("{\"")?;
+        let name = self.name()?;
+        self.eat(":")?;
+        let value = data(self, name)?;
+        self.eat("}")?;
         Ok(value)
     }
 }
 
-/// A value read from JSON the way its `Deserialize` derive and the
-/// serde shim read it (see [`Reader`]).
+/// A value read back from the bytes its [`Json`] writer writes (see
+/// [`Reader`]).
 trait FromJson: Sized {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError>;
-
-    /// The value of a struct field absent from its object, where absence
-    /// is allowed: only an `Option` may be missing.
-    fn missing() -> Option<Self> {
-        None
-    }
 }
 
-/// Reads an object into the struct or variant written as its fields
-/// (`Path { a, b }`), as the derive does: fields in any order, an
-/// unknown one skipped, a repeated one decoded the first time and only
-/// parsed after, and a missing one refused unless
-/// [`FromJson::missing`] gives it a value.
+/// Reads what `object!` writes for the same fields, `{"a":a,"b":b}` in
+/// declaration order, into the struct or variant written as its fields
+/// (`Path { a, b }`).
 macro_rules! fields {
-    ($r:ident; $($path:ident)::+ { $($field:ident),+ }) => {{
-        $(let mut $field = None;)+
-        $r.object(|r, key| {
-            match key {
-                $(stringify!($field) if $field.is_none() => {
-                    $field = Some(FromJson::read_json(r)?);
-                })+
-                _ => r.skip()?,
-            }
-            Ok(())
-        })?;
-        $($path)::+ {
-            $($field: $field.or_else(FromJson::missing).ok_or_else(|| {
-                $r.error(concat!("missing field `", stringify!($field), "`"))
-            })?,)+
-        }
+    ($r:ident; $($path:ident)::+ { $first:ident $(, $rest:ident)* }) => {{
+        $r.eat(concat!("{\"", stringify!($first), "\":"))?;
+        let $first = FromJson::read_json($r)?;
+        $(
+            $r.eat(concat!(",\"", stringify!($rest), "\":"))?;
+            let $rest = FromJson::read_json($r)?;
+        )*
+        $r.eat("}")?;
+        $($path)::+ { $first $(, $rest)* }
     }};
 }
 
@@ -1041,45 +898,41 @@ integer_from_json!(u16, u32, u64, usize, i64);
 
 impl FromJson for bool {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
-        match r.peek() {
-            Some(b't') => r.keyword("true").map(|()| true),
-            Some(b'f') => r.keyword("false").map(|()| false),
-            _ => Err(r.error("expected a bool")),
+        if r.take("true") {
+            Ok(true)
+        } else {
+            r.eat("false").map(|()| false)
         }
     }
 }
 
 impl FromJson for String {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
-        r.string().map(Cow::into_owned)
+        r.string()
     }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
-        if r.peek() == Some(b'n') {
-            r.keyword("null").map(|()| None)
+        if r.take("null") {
+            Ok(None)
         } else {
             T::read_json(r).map(Some)
         }
-    }
-
-    fn missing() -> Option<Self> {
-        Some(None)
     }
 }
 
 impl FromJson for Request {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
         r.variant(
-            |tag| match tag {
+            |name| match name {
                 "Quiesce" => Some(Request::Quiesce),
                 "Evict" => Some(Request::Evict),
                 "Digest" => Some(Request::Digest),
                 _ => None,
             },
-            |r, tag| {
-                Ok(match tag {
+            |r, name| {
+                Ok(match name {
                     "RegisterTenant" => fields!(r; Request::RegisterTenant {
                         expected_clients, mailbox_cap, ballot_min, ballot_max
                     }),
@@ -1096,7 +949,7 @@ impl FromJson for Request {
 impl FromJson for RejectReason {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
         r.variant(
-            |tag| match tag {
+            |name| match name {
                 "UnknownTenant" => Some(RejectReason::UnknownTenant),
                 "TenantExists" => Some(RejectReason::TenantExists),
                 "TenantLimit" => Some(RejectReason::TenantLimit),
@@ -1131,8 +984,8 @@ impl FromJson for Reply {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
         r.variant(
             |_| None,
-            |r, tag| {
-                Ok(match tag {
+            |r, name| {
+                Ok(match name {
                     "Registered" => fields!(r; Reply::Registered { tenant }),
                     "Quiesced" => fields!(r; Reply::Quiesced { tenant }),
                     "Evicted" => Reply::Evicted(FromJson::read_json(r)?),

@@ -17,6 +17,14 @@
 //!   reactor.  Hashing tenants onto workers keeps each tenant's
 //!   processing FIFO.
 //!
+//! Every reply carries the address of the connection it answers.  The
+//! workers and the reactor's own inline admissions alike append their
+//! replies to one outbox while they hold the core lock, so the outbox
+//! keeps the order in which the core made them, and one loop routes it
+//! into the connections' write buffers.  A connection therefore reads
+//! its replies in request order even when an `Evict` from another
+//! connection answers the requests its tenant still had queued.
+//!
 //! `poll` watches the listener, every connection and a *waker*, one end
 //! of a socket pair.  A connection asks for `POLLOUT` only while it has
 //! unsent bytes, and a hang-up or error counts as readable, so a dead
@@ -104,7 +112,8 @@ struct Conn {
 /// Shared between the reactor thread, the workers, and the handle.
 struct Shared {
     core: Mutex<ServerCore>,
-    /// Replies produced by workers, drained by the reactor each pass.
+    /// Every reply in the order the core made it, appended by
+    /// [`Shared::post`] and taken by the reactor each pass.
     outbox: Mutex<Vec<Outbound>>,
     stop: AtomicBool,
     /// The waker pair: [`Shared::wake`] writes to `wake_tx`, the
@@ -120,6 +129,16 @@ impl Shared {
         // Both ends are non-blocking: a full waker already holds a
         // wake-up, so `WouldBlock` loses nothing.
         let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Appends `replies` to the outbox and says whether it was empty.
+    /// Call it with the core still locked, so the outbox keeps the
+    /// core's order.
+    fn post(&self, replies: Vec<Outbound>) -> bool {
+        let mut outbox = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
+        let was_empty = outbox.is_empty();
+        outbox.extend(replies);
+        was_empty
     }
 }
 
@@ -247,22 +266,16 @@ fn worker_loop(shared: &Shared, rx: &Receiver<TenantId>) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let replies = {
-            let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
-            core.pump(tenant)
-        };
-        if replies.is_empty() {
-            continue;
-        }
         let was_empty = {
-            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-            let was_empty = outbox.is_empty();
-            outbox.extend(replies);
-            was_empty
+            let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
+            let replies = core.pump(tenant);
+            !replies.is_empty() && shared.post(replies)
         };
         // Only the first reply since the reactor last took the outbox
         // has to wake it: the reactor drains the waker before it takes
         // the outbox, so this byte outlives that take or precedes it.
+        // What the reactor posts itself it takes in the same pass, so
+        // that needs no wake-up.
         if was_empty {
             shared.wake();
         }
@@ -419,24 +432,19 @@ fn reactor_loop(
                         break;
                     }
                 };
-                let outcome = {
+                let queued = {
                     let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
-                    core.enqueue(ClientAddr(id), frame)
-                };
-                match outcome {
-                    Enqueued::Handled(replies) | Enqueued::Rejected(replies) => {
-                        // Inline replies are always addressed to the
-                        // requesting connection (`enqueue` replies to
-                        // the sender); worker replies go via the outbox.
-                        for (dest, bytes) in replies {
-                            debug_assert_eq!(dest.0, id);
-                            write_framed(&mut conn.write_buf, &bytes);
+                    match core.enqueue(ClientAddr(id), frame) {
+                        Enqueued::Handled(replies) | Enqueued::Rejected(replies) => {
+                            shared.post(replies);
+                            None
                         }
+                        Enqueued::Queued(tenant) => Some(tenant),
                     }
-                    Enqueued::Queued(tenant) => {
-                        let worker = usize::from(tenant.0) % senders.len();
-                        let _ = senders[worker].send(tenant);
-                    }
+                };
+                if let Some(tenant) = queued {
+                    let worker = usize::from(tenant.0) % senders.len();
+                    let _ = senders[worker].send(tenant);
                 }
                 start += used;
             }
@@ -445,11 +453,10 @@ fn reactor_loop(
             }
         }
 
-        // Route worker replies into connection write buffers.
-        let outbound: Vec<Outbound> = {
-            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *outbox)
-        };
+        // Route every reply by its address, in the core's order (see
+        // the module docs).
+        let outbound =
+            std::mem::take(&mut *shared.outbox.lock().unwrap_or_else(|e| e.into_inner()));
         for (dest, bytes) in outbound {
             if let Some(conn) = conns.get_mut(&dest.0) {
                 write_framed(&mut conn.write_buf, &bytes);
@@ -604,6 +611,142 @@ mod tests {
             assert_eq!(reply.stream, stream, "replies arrive in request order");
             assert!(matches!(reply.body, Body::Reply(Reply::Digest(_))));
         }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn an_evict_from_another_connection_answers_the_queued_request() {
+        let (reactor, registry) = loopback();
+        let frames = registry.counter("serve.frames");
+        // Connection ids count from 0 in accept order, and `first` is
+        // served before `second` connects, so `first` is connection 0.
+        let mut first = TcpClient::connect(reactor.local_addr());
+        register_tenant_1(&mut first);
+        let mut second = TcpClient::connect(reactor.local_addr());
+        let observe = Frame::request(
+            TenantId(1),
+            0,
+            Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            },
+        );
+        // Whichever of the worker and the evict answers the observation,
+        // it is answered once, on its own connection, and counted in the
+        // final digest.  A second answer would meet the next `recv`.
+        for pass in 0..100 {
+            if pass > 0 {
+                register_tenant_1(&mut first);
+            }
+            let before = frames.get();
+            if pass % 2 == 0 {
+                // Over the socket: the worker may pump it before the
+                // evict arrives, or the evict may find it queued.
+                first.send(&observe);
+            } else {
+                // Straight into the mailbox under connection 0's address,
+                // with no worker told: only the evict can answer it.
+                reactor.with_core(|core| core.enqueue(ClientAddr(0), &observe.encode()));
+            }
+            wait_until("the observation's admission", || frames.get() == before + 1);
+            second.send(&Frame::request(TenantId(1), 0, Request::Evict));
+            let Body::Reply(Reply::Evicted(digest)) = second.recv().body else {
+                panic!("the evict is answered with the final digest");
+            };
+            assert_eq!(digest.observes, 1);
+            assert_eq!(
+                first.recv().body,
+                Body::Reply(Reply::Observed { satisfied: true })
+            );
+        }
+        first.send(&Frame::request(TenantId(1), 0, Request::Digest));
+        assert_eq!(
+            first.recv().body,
+            Body::Reply(Reply::Rejected {
+                reason: RejectReason::UnknownTenant,
+                retry_after_ms: 0
+            })
+        );
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn an_evict_keeps_another_connections_replies_in_request_order() {
+        let (reactor, registry) = loopback();
+        let mut first = TcpClient::connect(reactor.local_addr());
+        let mut second = TcpClient::connect(reactor.local_addr());
+        let ballot = Frame::request(
+            TenantId(1),
+            0,
+            Request::Ballot {
+                round: 1,
+                value: "v".into(),
+            },
+        );
+        let observe = Frame::request(
+            TenantId(1),
+            0,
+            Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            },
+        );
+        let evict = Frame::request(TenantId(1), 0, Request::Evict);
+        let unknown = Reply::Rejected {
+            reason: RejectReason::UnknownTenant,
+            retry_after_ms: 0,
+        };
+        for pass in 0..100 {
+            register_tenant_1(&mut first);
+            if pass % 2 == 0 {
+                // Any interleaving: `first` pipelines a ballot and an
+                // observation while `second` evicts.
+                first.send(&ballot);
+                first.send(&observe);
+                second.send(&evict);
+            } else {
+                // The worker pumps the ballot but waits at the outbox,
+                // held here, until the reactor has admitted the
+                // observation and the evict, which answers it inline.  A
+                // reactor that routed inline replies apart from the
+                // workers' would send the observation's answer first.
+                let outbox = reactor.shared.outbox.lock().unwrap();
+                first.send(&ballot);
+                wait_until("the ballot's round", || {
+                    registry.counter("serve.tenant.1.rounds").get() == 1
+                });
+                first.send(&observe);
+                second.send(&evict);
+                std::thread::sleep(Duration::from_millis(2));
+                drop(outbox);
+            }
+            let Body::Reply(Reply::Evicted(digest)) = second.recv().body else {
+                panic!("the evict is answered with the final digest");
+            };
+            // The ballot's answers, then the observation's, whichever of
+            // the evict and the worker gave them.
+            let answer = first.recv().body;
+            if answer == Body::Reply(Reply::BallotAccepted { round: 1 }) {
+                assert!(matches!(
+                    first.recv().body,
+                    Body::Reply(Reply::RoundResult(_))
+                ));
+                assert_eq!(digest.rounds, 1);
+            } else {
+                assert_eq!(answer, Body::Reply(unknown.clone()), "pass {pass}");
+                assert_eq!(digest.rounds, 0);
+            }
+            let answer = first.recv().body;
+            if answer == Body::Reply(Reply::Observed { satisfied: true }) {
+                assert_eq!(digest.observes, 1);
+            } else {
+                assert_eq!(answer, Body::Reply(unknown.clone()), "pass {pass}");
+                assert_eq!(digest.observes, 0);
+            }
+        }
+        // Nothing was answered twice.
+        first.send(&Frame::request(TenantId(1), 0, Request::Digest));
+        assert_eq!(first.recv().body, Body::Reply(unknown));
         reactor.shutdown();
     }
 

@@ -380,6 +380,40 @@ impl Registry {
             prefix: prefix.into(),
         }
     }
+
+    /// Removes every counter, gauge and histogram named `prefix` plus a
+    /// dot plus anything: all that `scoped(prefix)` hands out, and no
+    /// metric of a longer prefix (`"t.1"` keeps `"t.10.*"`).  A handle
+    /// held past this keeps working but no longer reaches the registry,
+    /// and the next lookup of a removed name starts afresh.  The names
+    /// stay in the process-wide intern table.
+    ///
+    /// ```
+    /// use afta_telemetry::Registry;
+    ///
+    /// let registry = Registry::new();
+    /// registry.scoped("serve.tenant.1").counter("rounds").inc();
+    /// registry.scoped("serve.tenant.10").counter("rounds").inc();
+    /// registry.remove_scoped("serve.tenant.1");
+    /// let report = registry.report();
+    /// assert!(!report.counters.contains_key("serve.tenant.1.rounds"));
+    /// assert_eq!(report.counter("serve.tenant.10.rounds"), 1);
+    /// ```
+    pub fn remove_scoped(&self, prefix: &str) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let keep = |name: &&'static str| {
+            !name
+                .strip_prefix(prefix)
+                .is_some_and(|rest| rest.starts_with('.'))
+        };
+        for shard in &inner.shards {
+            shard.counters.write().retain(|name, _| keep(name));
+            shard.gauges.write().retain(|name, _| keep(name));
+            shard.histograms.write().retain(|name, _| keep(name));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
