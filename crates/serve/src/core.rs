@@ -40,6 +40,13 @@ use crate::tenant::{Lifecycle, Tenant, TenantQuotas};
 /// registration could make its tenant queue without limit.
 const MAX_MAILBOX_CAP: usize = 8192;
 
+/// Longest ballot value, in bytes, that admission queues; a longer one is
+/// refused with `bad-frame`.  A tenant buffers each pending ballot and
+/// every stream's copy of a round result echoes the winning value, so
+/// without a bound one frame could make the server hold and send
+/// megabytes per attached stream.
+const MAX_BALLOT_VALUE: usize = 256;
+
 /// Where a frame came from and where replies go: a return address the
 /// caller chooses.  The TCP reactor uses a connection id; an in-process
 /// caller names its clients however it likes.
@@ -405,7 +412,11 @@ impl ServerCore {
             )]);
         };
         let quotas = slot.tenant.quotas();
-        let refused = if slot.tenant.lifecycle() == Lifecycle::Quiescing {
+        let oversized =
+            matches!(&request, Request::Ballot { value, .. } if value.len() > MAX_BALLOT_VALUE);
+        let refused = if oversized {
+            Some((RejectReason::BadFrame, 0))
+        } else if slot.tenant.lifecycle() == Lifecycle::Quiescing {
             Some((RejectReason::Quiescing, 0))
         } else if !slot.tenant.admit_stream(stream) {
             Some((RejectReason::StreamLimit, 0))
@@ -672,6 +683,36 @@ mod tests {
         assert_eq!(c.tenant_ids(), [TenantId(1)]);
         // The refused id is still free.
         register(&mut c, 2, 1, 0);
+    }
+
+    #[test]
+    fn a_ballot_longer_than_the_value_bound_is_refused() {
+        let registry = Registry::new();
+        let mut c = ServerCore::new(ServeConfig::default(), &registry);
+        register(&mut c, 1, 2, 0);
+        let ballot = |len: usize| {
+            let value = "v".repeat(len);
+            Frame::request(TenantId(1), 0, Request::Ballot { round: 1, value }).encode()
+        };
+        let Enqueued::Rejected(replies) = c.enqueue(ClientAddr(1), &ballot(MAX_BALLOT_VALUE + 1))
+        else {
+            panic!("a value over the bound must be refused");
+        };
+        assert_eq!(
+            decoded(&replies),
+            [Reply::Rejected {
+                reason: RejectReason::BadFrame,
+                retry_after_ms: 0
+            }]
+        );
+        assert_eq!(registry.counter("serve.rejected").get(), 1);
+        assert_eq!(c.tenant_digest(TenantId(1)).unwrap().rejected, 1);
+        assert_eq!(c.tenant_backlog(TenantId(1)), 0);
+        assert!(matches!(
+            c.enqueue(ClientAddr(1), &ballot(MAX_BALLOT_VALUE)),
+            Enqueued::Queued(_)
+        ));
+        assert_eq!(c.tenant_backlog(TenantId(1)), 1);
     }
 
     #[test]

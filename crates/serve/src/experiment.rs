@@ -205,8 +205,20 @@ impl TcpClient {
     ///
     /// Panics if the write fails.
     pub fn send(&mut self, frame: &Frame) {
+        self.send_all(std::slice::from_ref(frame));
+    }
+
+    /// Sends `frames` back to back in one write, as a client that
+    /// pipelines its requests does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write fails.
+    pub(crate) fn send_all(&mut self, frames: &[Frame]) {
         let mut message = Vec::new();
-        write_framed(&mut message, &frame.encode());
+        for frame in frames {
+            write_framed(&mut message, &frame.encode());
+        }
         self.stream
             .write_all(&message)
             .expect("write to the reactor");

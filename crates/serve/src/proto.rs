@@ -106,7 +106,8 @@ pub enum Request {
     Ballot {
         /// 1-based round number; rounds complete strictly in order.
         round: u64,
-        /// The replicated result this client computed.
+        /// The replicated result this client computed; longer than 256
+        /// bytes is refused with [`RejectReason::BadFrame`].
         value: String,
     },
     /// Forces round `round` to complete even if ballots are missing
@@ -137,8 +138,10 @@ pub enum RejectReason {
     /// The tenant is at its stream cap.
     StreamLimit,
     /// The frame body did not decode (see [`Frame::decode`]), or carried
-    /// values the server cannot act on (a registration with `expected_clients: 0`,
-    /// `ballot_min > ballot_max` or `mailbox_cap` above 8192).
+    /// values the server cannot act on: a registration with
+    /// `expected_clients: 0`, `ballot_min > ballot_max` or `mailbox_cap`
+    /// above 8192, or a [`Request::Ballot`] whose value is longer than
+    /// 256 bytes.
     BadFrame,
 }
 

@@ -10,12 +10,14 @@
 //!   length-prefixed frames, runs cheap admission
 //!   ([`ServerCore::enqueue`]) inline, and flushes pending writes — all
 //!   without ever blocking on a socket;
-//! * **a small worker pool** doing the real work: when a frame is
-//!   admitted into a tenant mailbox, the reactor hands that tenant id
-//!   to the worker `tenant % workers`, which drains and processes the
-//!   mailbox ([`ServerCore::pump`]) and queues the replies back to the
-//!   reactor.  Hashing tenants onto workers keeps each tenant's
-//!   processing FIFO.
+//! * **a small worker pool** doing the real work: when a frame turns a
+//!   tenant's mailbox from empty to non-empty, the reactor hands that
+//!   tenant id to the worker `tenant % workers`, which drains and
+//!   processes the whole mailbox ([`ServerCore::pump`]) and queues the
+//!   replies back to the reactor.  A frame admitted behind others finds
+//!   their hand-off still pending and sends none, so a worker takes the
+//!   core lock once per ready tenant, not once per frame.  Hashing
+//!   tenants onto workers keeps each tenant's processing FIFO.
 //!
 //! Every reply carries the address of the connection it answers.  The
 //! workers and the reactor's own inline admissions alike append their
@@ -23,7 +25,10 @@
 //! keeps the order in which the core made them, and one loop routes it
 //! into the connections' write buffers.  A connection therefore reads
 //! its replies in request order even when an `Evict` from another
-//! connection answers the requests its tenant still had queued.
+//! connection answers the requests its tenant still had queued.  What
+//! the core answers at admission (a control request, a rejection) is
+//! the exception: it can overtake the answers to the connection's own
+//! requests still waiting in a mailbox.
 //!
 //! `poll` watches the listener, every connection and a *waker*, one end
 //! of a socket pair.  A connection asks for `POLLOUT` only while it has
@@ -35,6 +40,8 @@
 //! from empty to non-empty, [`Reactor::shutdown`] after setting the
 //! stop flag.  An idle server makes no system calls, and a request
 //! waits for no timer.
+//! A connection left with more than 16 MiB unsent after a flush is
+//! closed: its client sends requests but does not read the answers.
 //! The one `unsafe` call, `poll` itself, lives in
 //! [`afta_eventbus::poll`], so this crate stays `forbid(unsafe_code)`.
 //! The `serve.reactor.sweep` histogram times each pass from `poll`'s
@@ -78,6 +85,11 @@ const ACCEPT_BURST: usize = 256;
 /// closes the connection.
 const MAX_FRAME: u32 = 1024 * 1024;
 
+/// Most reply bytes a connection may have waiting unsent after a flush;
+/// past it the connection is closed, so a client that sends but never
+/// reads cannot make the server buffer without limit.
+const MAX_UNSENT: usize = 16 * 1024 * 1024;
+
 /// Tuning knobs of the [`Reactor`].  There is no wake-up interval: the
 /// reactor sleeps in `poll(2)` until a socket, a worker reply or
 /// shutdown wakes it (see the module docs).
@@ -103,7 +115,8 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet sliced into frames.
     read_buf: Vec<u8>,
-    /// Encoded `[len][frame]` messages waiting to be written.
+    /// Encoded `[len][frame]` messages waiting to be written; more than
+    /// [`MAX_UNSENT`] of them left after a flush close the connection.
     write_buf: Vec<u8>,
     /// How much of `write_buf` has been written.
     written: usize,
@@ -232,6 +245,11 @@ impl Reactor {
 
     /// Runs `f` with the server core locked (inspection and test hooks;
     /// the lock pauses frame processing, so keep `f` short).
+    ///
+    /// A request `f` enqueues is announced to no worker, so the caller
+    /// must pump or evict its tenant.  Until then the frames the reactor
+    /// admits for that tenant find its mailbox non-empty, announce
+    /// nothing either, and wait too.
     pub fn with_core<R>(&self, f: impl FnOnce(&mut ServerCore) -> R) -> R {
         f(&mut self.shared.core.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -297,6 +315,8 @@ fn reactor_loop(
     let refused = registry.counter("serve.reactor.refused");
     let closed = registry.counter("serve.reactor.closed");
     let write_blocked = registry.counter("serve.reactor.write_blocked");
+    let unsent_closed = registry.counter("serve.reactor.unsent_closed");
+    let handoffs = registry.counter("serve.reactor.handoffs");
     let sweep = registry.histogram("serve.reactor.sweep", &DEFAULT_TIME_BOUNDS_NS);
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -432,19 +452,27 @@ fn reactor_loop(
                         break;
                     }
                 };
-                let queued = {
+                let wake = {
                     let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
                     match core.enqueue(ClientAddr(id), frame) {
                         Enqueued::Handled(replies) | Enqueued::Rejected(replies) => {
                             shared.post(replies);
                             None
                         }
-                        Enqueued::Queued(tenant) => Some(tenant),
+                        // Only the frame that turns the mailbox from empty
+                        // to non-empty wakes a worker.  Read under the same
+                        // lock, a backlog above 1 means an earlier frame's
+                        // wake-up is not pumped yet, and that pump drains
+                        // this frame too.
+                        Enqueued::Queued(tenant) => {
+                            (core.tenant_backlog(tenant) == 1).then_some(tenant)
+                        }
                     }
                 };
-                if let Some(tenant) = queued {
+                if let Some(tenant) = wake {
                     let worker = usize::from(tenant.0) % senders.len();
                     let _ = senders[worker].send(tenant);
+                    handoffs.inc();
                 }
                 start += used;
             }
@@ -457,12 +485,19 @@ fn reactor_loop(
         // the module docs).
         let outbound =
             std::mem::take(&mut *shared.outbox.lock().unwrap_or_else(|e| e.into_inner()));
+        // One lookup per run of replies to the same connection.
+        let mut run: Option<u64> = None;
+        let mut conn: Option<&mut Conn> = None;
         for (dest, bytes) in outbound {
-            if let Some(conn) = conns.get_mut(&dest.0) {
-                write_framed(&mut conn.write_buf, &bytes);
+            if run != Some(dest.0) {
+                run = Some(dest.0);
+                conn = conns.get_mut(&dest.0);
             }
             // Replies to a connection that closed meanwhile are dropped,
             // like any send on a broken link.
+            if let Some(conn) = conn.as_deref_mut() {
+                write_framed(&mut conn.write_buf, &bytes);
+            }
         }
 
         // Flush as much as each socket accepts; what is left makes the
@@ -489,6 +524,10 @@ fn reactor_loop(
             if conn.written > 0 && conn.written == conn.write_buf.len() {
                 conn.write_buf.clear();
                 conn.written = 0;
+            }
+            if conn.write_buf.len() - conn.written > MAX_UNSENT {
+                unsent_closed.inc();
+                dead.push(id);
             }
         }
 
@@ -747,6 +786,164 @@ mod tests {
         // Nothing was answered twice.
         first.send(&Frame::request(TenantId(1), 0, Request::Digest));
         assert_eq!(first.recv().body, Body::Reply(unknown));
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_are_each_answered_once_in_request_order() {
+        const PER_CONNECTION: u32 = 5_000;
+        // Stream `i` carries a connection's `i`-th request, so a reply's
+        // stream names the request it answers.
+        let observations: Vec<Frame> = (0..PER_CONNECTION)
+            .map(|stream| {
+                let observe = Request::Observe {
+                    key: "ballot".into(),
+                    value: 1,
+                };
+                Frame::request(TenantId(1), stream, observe)
+            })
+            .collect();
+        let observed = Body::Reply(Reply::Observed { satisfied: true });
+        for workers in [1, 4] {
+            let registry = Registry::new();
+            // A mailbox that holds both connections' requests: a request
+            // refused at admission is answered at once, ahead of the
+            // connection's requests still queued.
+            let serve = ServeConfig {
+                max_streams_per_tenant: PER_CONNECTION,
+                default_mailbox_cap: 2 * PER_CONNECTION as usize,
+                ..ServeConfig::default()
+            };
+            let config = ReactorConfig {
+                workers,
+                ..ReactorConfig::default()
+            };
+            let reactor = Reactor::bind("127.0.0.1:0", config, serve, &registry)
+                .expect("bind the loopback reactor");
+            let mut clients = [
+                TcpClient::connect(reactor.local_addr()),
+                TcpClient::connect(reactor.local_addr()),
+            ];
+            clients[0].send(&Frame::request(
+                TenantId(1),
+                0,
+                Request::RegisterTenant {
+                    expected_clients: 1,
+                    mailbox_cap: 0,
+                    ballot_min: 0,
+                    ballot_max: 1,
+                },
+            ));
+            assert_eq!(
+                clients[0].recv().body,
+                Body::Reply(Reply::Registered { tenant: 1 })
+            );
+            // Each connection's requests in one write, so one read can
+            // admit thousands of frames for the tenant at once.
+            for client in &mut clients {
+                client.send_all(&observations);
+            }
+            for client in &mut clients {
+                for stream in 0..PER_CONNECTION {
+                    let reply = client.recv();
+                    assert_eq!(reply.stream, stream, "{workers} workers: request order");
+                    assert_eq!(reply.body, observed, "{workers} workers: request {stream}");
+                }
+            }
+            // A lone request after the flood finds the mailbox empty and
+            // must wake the worker itself.
+            for client in &mut clients {
+                client.send(&observations[0]);
+                assert_eq!(client.recv().body, observed);
+            }
+            // Every request was answered, so none is left to answer
+            // twice: the next reply on each connection is its digest.
+            let requests = 2 * (u64::from(PER_CONNECTION) + 1);
+            for client in &mut clients {
+                client.send(&Frame::request(TenantId(1), 0, Request::Digest));
+                let Body::Reply(Reply::Digest(digest)) = client.recv().body else {
+                    panic!("{workers} workers: a digest request gets the digest");
+                };
+                assert_eq!(digest.observes, requests);
+            }
+            let queued = registry.counter("serve.queued").get();
+            let handoffs = registry.counter("serve.reactor.handoffs").get();
+            assert_eq!(queued, requests);
+            assert!(
+                (1..=queued).contains(&handoffs),
+                "{workers} workers: {handoffs} hand-offs for {queued} queued requests"
+            );
+            reactor.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_closed_and_its_sibling_is_served_on() {
+        let (reactor, registry) = loopback();
+        let frames = registry.counter("serve.frames");
+        let unsent_closed = registry.counter("serve.reactor.unsent_closed");
+        let mut deaf = TcpStream::connect(reactor.local_addr()).expect("connect");
+        let mut sibling = TcpClient::connect(reactor.local_addr());
+        wait_until("both accepts", || reactor.connections() == 2);
+
+        // Register and attach 1,024 streams: each round the deaf client
+        // then closes fans 1,024 copies of its result out to it.
+        let mut batch = Vec::new();
+        let register = Request::RegisterTenant {
+            expected_clients: 1,
+            mailbox_cap: 2048,
+            ballot_min: 0,
+            ballot_max: 1,
+        };
+        write_framed(
+            &mut batch,
+            &Frame::request(TenantId(1), 0, register).encode(),
+        );
+        for stream in 0..1024 {
+            let observe = Request::Observe {
+                key: "ballot".into(),
+                value: 1,
+            };
+            write_framed(
+                &mut batch,
+                &Frame::request(TenantId(1), stream, observe).encode(),
+            );
+        }
+        let mut sent = 1025;
+        let mut round = 0;
+        while unsent_closed.get() == 0 {
+            // At well over 100 bytes a copy, 640 rounds make more than
+            // 64 MiB of replies, four times the bound.
+            assert!(
+                round < 640,
+                "{round} rounds of unread replies kept the connection"
+            );
+            for _ in 0..32 {
+                round += 1;
+                let ballot = Request::Ballot {
+                    round,
+                    value: "v".into(),
+                };
+                write_framed(&mut batch, &Frame::request(TenantId(1), 0, ballot).encode());
+                sent += 1;
+            }
+            if deaf.write_all(&batch).is_err() {
+                break;
+            }
+            batch.clear();
+            wait_until("the server to read the batch", || {
+                frames.get() == sent || unsent_closed.get() == 1
+            });
+        }
+        wait_until("the close", || {
+            unsent_closed.get() == 1 && reactor.connections() == 1
+        });
+
+        sibling.send(&Frame::request(TenantId(1), 0, Request::Digest));
+        let Body::Reply(Reply::Digest(digest)) = sibling.recv().body else {
+            panic!("the sibling is served on");
+        };
+        assert!(digest.rounds > 0);
         reactor.shutdown();
     }
 

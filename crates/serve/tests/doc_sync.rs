@@ -148,6 +148,8 @@ fn every_server_metric_is_documented() {
         "serve.reactor.refused",
         "serve.reactor.closed",
         "serve.reactor.write_blocked",
+        "serve.reactor.unsent_closed",
+        "serve.reactor.handoffs",
         "serve.reactor.sweep",
     ] {
         assert!(
