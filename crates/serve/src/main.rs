@@ -20,49 +20,93 @@ use afta_telemetry::Registry;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("e8") => cmd_e8(&args[1..]),
-        Some("soak") => cmd_soak(&args[1..]),
+    let command = match args.first().map(String::as_str) {
+        Some("serve") => cmd_serve,
+        Some("e8") => cmd_e8,
+        Some("soak") => cmd_soak,
         None | Some("help" | "--help" | "-h") => {
             print!("{CLI_HELP}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         Some(other) => {
             eprintln!("unknown command {other:?}\n\n{CLI_HELP}");
+            return ExitCode::from(2);
+        }
+    };
+    match command(&args[1..]) {
+        Ok(code) => code,
+        Err(refusal) => {
+            eprintln!(
+                "afta-serve {}: {refusal} (`afta-serve help` lists the flags)",
+                args[0]
+            );
             ExitCode::from(2)
         }
     }
 }
 
-/// The value following `--name`, if present.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// A subcommand's command line: `--flag value` pairs, every flag one the
+/// subcommand takes.  A subcommand reads all of its flags before it
+/// binds or runs anything, so a refused command line does nothing.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
-/// Parses `--name N` as a number, falling back to `default`.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+impl<'a> Flags<'a> {
+    /// Pairs each flag in `args` with the value after it.
+    ///
+    /// # Errors
+    ///
+    /// A flag that is not in `known`, or one with no value after it.
+    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag) {
+                return Err(format!("unknown flag {flag:?}"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            pairs.push((flag, value));
+        }
+        Ok(Flags(pairs))
+    }
 
-/// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`,
-/// each read by [`parse_seed`] (decimal or `0x`-hex).
-fn seed_flag(args: &[String], default: u64) -> u64 {
-    let env = std::env::var("AFTA_SEED").ok();
-    flag(args, "--seed")
-        .and_then(parse_seed)
-        .or_else(|| env.as_deref().and_then(parse_seed))
-        .unwrap_or(default)
+    /// The value after `name`, if it was given.
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|&&(flag, _)| flag == name)
+            .map(|&(_, value)| value)
+    }
+
+    /// The number after `name`, or `default` when it was not given.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.get(name).map_or(Ok(default), |value| {
+            value.parse().map_err(|_| {
+                let ty = std::any::type_name::<T>();
+                format!("{name}: {value:?} does not parse as a {ty}")
+            })
+        })
+    }
+
+    /// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`,
+    /// each read by [`parse_seed`] (decimal or `0x`-hex).  A malformed
+    /// `--seed` is refused; an unset or malformed `AFTA_SEED` gives
+    /// `default`.
+    fn seed(&self, default: u64) -> Result<u64, String> {
+        match self.get("--seed") {
+            Some(value) => parse_seed(value)
+                .ok_or_else(|| format!("--seed: {value:?} is neither decimal nor 0x-hex")),
+            None => Ok(std::env::var("AFTA_SEED")
+                .ok()
+                .as_deref()
+                .and_then(parse_seed)
+                .unwrap_or(default)),
+        }
+    }
 }
 
 /// Writes `value` as JSON to `--json PATH` when the flag is present.
-fn write_json<T: serde::Serialize>(args: &[String], value: &T) -> ExitCode {
-    if let Some(path) = flag(args, "--json") {
+fn write_json<T: serde::Serialize>(flags: &Flags<'_>, value: &T) -> ExitCode {
+    if let Some(path) = flags.get("--json") {
         let rendered = serde_json::to_string_pretty(value).expect("report serializes");
         if let Err(e) = std::fs::write(path, rendered) {
             eprintln!("cannot write {path}: {e}");
@@ -96,17 +140,29 @@ struct SoakJson {
 }
 
 /// `afta-serve serve`: bind the reactor and host tenants until killed.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let addr = flag(args, "--addr").unwrap_or("127.0.0.1:0");
+fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--addr",
+            "--max-connections",
+            "--workers",
+            "--max-tenants",
+            "--mailbox-cap",
+            "--retry-after-ms",
+            "--seed",
+        ],
+    )?;
+    let addr = flags.get("--addr").unwrap_or("127.0.0.1:0");
     let reactor_config = ReactorConfig {
-        max_connections: num_flag(args, "--max-connections", 16_384),
-        workers: num_flag(args, "--workers", 4),
+        max_connections: flags.num("--max-connections", 16_384)?,
+        workers: flags.num("--workers", 4)?,
     };
     let serve_config = ServeConfig {
-        max_tenants: num_flag(args, "--max-tenants", 256),
-        default_mailbox_cap: num_flag(args, "--mailbox-cap", 64),
-        retry_after_ms: num_flag(args, "--retry-after-ms", 25),
-        seed: seed_flag(args, 0xAF7A),
+        max_tenants: flags.num("--max-tenants", 256)?,
+        default_mailbox_cap: flags.num("--mailbox-cap", 64)?,
+        retry_after_ms: flags.num("--retry-after-ms", 25)?,
+        seed: flags.seed(0xAF7A)?,
         ..ServeConfig::default()
     };
     let registry = Registry::new();
@@ -114,7 +170,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("afta-serve listening on {}", reactor.local_addr());
@@ -131,15 +187,26 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 }
 
 /// `afta-serve e8`: the differential, on one or both backends.
-fn cmd_e8(args: &[String]) -> ExitCode {
+fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--transport",
+            "--tenants",
+            "--clients",
+            "--rounds",
+            "--seed",
+            "--json",
+        ],
+    )?;
     let config = ServeExperimentConfig {
-        seed: seed_flag(args, 42),
-        tenants: num_flag(args, "--tenants", 8),
-        clients: num_flag(args, "--clients", 16),
-        rounds: num_flag(args, "--rounds", 12),
+        seed: flags.seed(42)?,
+        tenants: flags.num("--tenants", 8)?,
+        clients: flags.num("--clients", 16)?,
+        rounds: flags.num("--rounds", 12)?,
         ..ServeExperimentConfig::default()
     };
-    let which = flag(args, "--transport").unwrap_or("both");
+    let which = flags.get("--transport").unwrap_or("both");
     let registry = Registry::new();
     let run = |kind: TransportKind| {
         run_serve_experiment(
@@ -166,12 +233,12 @@ fn cmd_e8(args: &[String]) -> ExitCode {
             r.combined, r.rounds, r.clashes, r.rejects
         );
     };
-    match which {
+    Ok(match which {
         "sim" | "tcp" => {
             let kind: TransportKind = which.parse().expect("validated above");
             let report = run(kind);
             print_report(&report);
-            write_json(args, &report)
+            write_json(&flags, &report)
         }
         "both" => {
             let sim = run(TransportKind::Sim);
@@ -180,7 +247,7 @@ fn cmd_e8(args: &[String]) -> ExitCode {
             print_report(&tcp);
             let matches = differential_matches(&sim, &tcp);
             let code = write_json(
-                args,
+                &flags,
                 &DifferentialJson {
                     sim: sim.clone(),
                     tcp: tcp.clone(),
@@ -198,11 +265,8 @@ fn cmd_e8(args: &[String]) -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        other => {
-            eprintln!("unknown transport {other:?} (expected sim|tcp|both)");
-            ExitCode::from(2)
-        }
-    }
+        other => return Err(format!("--transport: {other:?} is not sim, tcp or both")),
+    })
 }
 
 /// One soak connection: a non-blocking loopback socket plus its framing
@@ -220,13 +284,25 @@ struct SoakConn {
 /// or an accounted rejection, and the tenants' digests must carry
 /// exactly the observed count (the serving NoLostShard invariant).
 #[allow(clippy::too_many_lines)]
-fn cmd_soak(args: &[String]) -> ExitCode {
-    let connections: usize = num_flag(args, "--connections", 10_000);
-    let tenants: u16 = num_flag(args, "--tenants", 8);
-    let frames: u32 = num_flag(args, "--frames", 1);
-    let workers: usize = num_flag(args, "--workers", 4);
-    let timeout = Duration::from_millis(num_flag(args, "--timeout-ms", 60_000));
-    let seed = seed_flag(args, 0xAF7A);
+fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--connections",
+            "--tenants",
+            "--frames",
+            "--workers",
+            "--timeout-ms",
+            "--seed",
+            "--json",
+        ],
+    )?;
+    let connections: usize = flags.num("--connections", 10_000)?;
+    let tenants: u16 = flags.num("--tenants", 8)?;
+    let frames: u32 = flags.num("--frames", 1)?;
+    let workers: usize = flags.num("--workers", 4)?;
+    let timeout = Duration::from_millis(flags.num("--timeout-ms", 60_000)?);
+    let seed = flags.seed(0xAF7A)?;
 
     let registry = Registry::new();
     let reactor_config = ReactorConfig {
@@ -244,7 +320,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot bind the soak reactor: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let addr = reactor.local_addr();
@@ -269,7 +345,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                 Body::Reply(Reply::Registered { tenant }) => assert_eq!(tenant, t),
                 other => {
                     eprintln!("soak tenant {t} registration refused: {other:?}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -298,7 +374,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("soak connect {}/{connections} failed: {e}", conns.len());
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -310,7 +386,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                     conns.len(),
                     started.elapsed()
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             std::thread::sleep(Duration::from_micros(100));
         }
@@ -335,7 +411,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
             write_framed(&mut msg, &frame.encode());
             if write_all_blocking(&mut conn.stream, &msg).is_err() {
                 eprintln!("soak write on connection {i} failed");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             sent += 1;
         }
@@ -385,7 +461,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                 "soak timed out with {outstanding} connections still waiting after {:?}",
                 started.elapsed()
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if !progressed {
             std::thread::sleep(Duration::from_millis(1));
@@ -422,18 +498,18 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         elapsed_ms,
         tenants: digests,
     };
-    let code = write_json(args, &report);
+    let code = write_json(&flags, &report);
     let no_lost_shard = lost == 0 && digest_observes == observed;
     let held_them_all = peak >= i64::try_from(connections).unwrap_or(i64::MAX);
     if no_lost_shard && held_them_all {
         println!("soak: NoLostShard holds");
-        code
+        Ok(code)
     } else {
         eprintln!(
             "soak FAILED: lost={lost} digest_observes={digest_observes} observed={observed} \
              peak={peak}/{connections}"
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 

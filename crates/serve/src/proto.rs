@@ -44,6 +44,11 @@
 //! oracle built from the serde derives, `serde_json::from_str` followed
 //! by `serde_json::to_string`, which must give the body back: on
 //! hand-written cases and on seeded byte mutants of encoded frames.
+//!
+//! The cursor walks the body's bytes once.  Outside strings they must
+//! match the writer's ASCII literals, variant names and decimal digits;
+//! only inside a string, where the writer puts non-ASCII text, is each
+//! verbatim run checked as UTF-8.  So every body it accepts is UTF-8.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -383,20 +388,24 @@ impl Frame {
     ///
     /// Returns a [`ProtoError`] when the buffer is shorter than the
     /// header, carries an unknown kind byte, or its body is not the
-    /// encoding of a body of that kind.
+    /// encoding of a body of that kind.  A body that is not UTF-8 is
+    /// [`ProtoError::BadBody`] whatever the kind byte says.
     pub fn decode(bytes: &[u8]) -> Result<Frame, ProtoError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(ProtoError::Truncated);
         }
         let tenant = TenantId(u16::from_be_bytes([bytes[0], bytes[1]]));
         let stream = u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-        let kind = bytes[6];
-        let body = std::str::from_utf8(&bytes[FRAME_HEADER_LEN..])
-            .map_err(|e| ProtoError::BadBody(e.to_string()))?;
-        let body = match kind {
+        let body = &bytes[FRAME_HEADER_LEN..];
+        let body = match bytes[6] {
             KIND_REQUEST => Body::Request(Reader::document(body)?),
             KIND_REPLY => Body::Reply(Reader::document(body)?),
-            other => return Err(ProtoError::BadKind(other)),
+            // The reader refuses a body that is not UTF-8; under an
+            // unknown kind that refusal still comes first.
+            other => {
+                std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
+                return Err(ProtoError::BadKind(other));
+            }
         };
         Ok(Frame {
             tenant,
@@ -705,29 +714,39 @@ impl Json for Reply {
 /// variants write, [`Reader::integer`] what [`write_u64`] writes and
 /// [`Reader::string`] what `str`'s escaping writes.  So a body decodes
 /// exactly when it is the encoding of what it decodes to.
+///
+/// It walks the body's bytes once.  Outside strings every byte must
+/// match an ASCII literal, an ASCII variant name or a decimal digit;
+/// inside a string each verbatim run is checked as UTF-8 before it is
+/// kept.  Only strings hold non-ASCII bytes, and a run ends only at an
+/// ASCII byte, so every body it accepts is UTF-8.
 struct Reader<'a> {
-    text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Reads the whole of `text` as one `T`.
-    fn document<T: FromJson>(text: &'a str) -> Result<T, ProtoError> {
-        let mut r = Reader { text, pos: 0 };
+    /// Reads the whole of `bytes` as one `T`.
+    fn document<T: FromJson>(bytes: &'a [u8]) -> Result<T, ProtoError> {
+        let mut r = Reader { bytes, pos: 0 };
         let value = T::read_json(&mut r)?;
-        if r.pos < text.len() {
-            return Err(r.error("trailing characters after the body"));
+        if r.pos < bytes.len() {
+            return Err(r.error("trailing bytes after the body"));
         }
         Ok(value)
     }
 
-    fn error(&self, what: &str) -> ProtoError {
+    /// Kept out of line, so that the reading steps that may fail stay
+    /// small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn error(&self, what: impl fmt::Display) -> ProtoError {
         ProtoError::BadBody(format!("{what} at byte {}", self.pos))
     }
 
     /// The bytes not read yet.
     fn rest(&self) -> &'a [u8] {
-        &self.text.as_bytes()[self.pos..]
+        &self.bytes[self.pos..]
     }
 
     /// Consumes `literal` if the body goes on with it, and says whether
@@ -745,32 +764,29 @@ impl<'a> Reader<'a> {
         if self.take(literal) {
             Ok(())
         } else {
-            Err(self.error(&format!("expected `{literal}`")))
+            Err(self.error(format_args!("expected `{literal}`")))
         }
     }
 
     /// Reads a variant name up to and past its closing quote.  Names are
     /// Rust identifiers, which the writer never escapes, so the name is
-    /// the raw bytes: one with an escape in it names no variant.
-    fn name(&mut self) -> Result<&'a str, ProtoError> {
-        let text = self.text;
-        let Some(len) = text[self.pos..].find('"') else {
+    /// the raw bytes: one with an escape or a non-ASCII byte in it names
+    /// no variant.
+    fn name(&mut self) -> Result<&'a [u8], ProtoError> {
+        let rest = self.rest();
+        let Some(len) = rest.iter().position(|&b| b == b'"') else {
             return Err(self.error("unterminated name"));
         };
-        let name = &text[self.pos..self.pos + len];
         self.pos += len + 1;
-        Ok(name)
+        Ok(&rest[..len])
     }
 
     /// Reads a string as `str`'s writer writes it: every character but
     /// `"`, `\` and the control characters verbatim, and those escaped.
     fn string(&mut self) -> Result<String, ProtoError> {
         self.eat("\"")?;
-        let text = self.text;
+        let bytes = self.bytes;
         let mut out = String::new();
-        // `"`, `\` and the control characters are ASCII, which no byte of
-        // a multi-byte character is, so every slice below falls on
-        // character boundaries.
         loop {
             let run = self.pos;
             self.pos += self
@@ -778,7 +794,12 @@ impl<'a> Reader<'a> {
                 .iter()
                 .take_while(|&&b| b >= 0x20 && b != b'"' && b != b'\\')
                 .count();
-            out.push_str(&text[run..self.pos]);
+            // `"`, `\` and the control characters are ASCII, which no
+            // byte of a multi-byte character is: the string is UTF-8
+            // exactly when each run between them is.
+            let text = std::str::from_utf8(&bytes[run..self.pos])
+                .map_err(|_| self.error("a string that is not UTF-8"))?;
+            out.push_str(text);
             match self.rest().first() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -831,14 +852,20 @@ impl<'a> Reader<'a> {
     /// range check is one `try_from`.
     fn integer(&mut self) -> Result<i128, ProtoError> {
         let negative = self.take("-");
-        let rest = self.rest();
-        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-        let leading_zero = rest.first() == Some(&b'0') && (digits > 1 || negative);
-        let magnitude = match self.text[self.pos..self.pos + digits].parse::<u64>() {
-            Ok(magnitude) if !leading_zero => i128::from(magnitude),
-            _ => return Err(self.error("expected an integer as the writer writes it")),
-        };
-        self.pos += digits;
+        let start = self.pos;
+        let mut magnitude = 0u64;
+        while let Some(&digit @ b'0'..=b'9') = self.rest().first() {
+            magnitude = magnitude
+                .checked_mul(10)
+                .and_then(|m| m.checked_add(u64::from(digit - b'0')))
+                .ok_or_else(|| self.error("an integer wider than 64 bits"))?;
+            self.pos += 1;
+        }
+        let digits = self.pos - start;
+        if digits == 0 || (self.bytes[start] == b'0' && (digits > 1 || negative)) {
+            return Err(self.error("expected an integer as the writer writes it"));
+        }
+        let magnitude = i128::from(magnitude);
         Ok(if negative { -magnitude } else { magnitude })
     }
 
@@ -848,8 +875,8 @@ impl<'a> Reader<'a> {
     /// reads for the name.
     fn variant<T>(
         &mut self,
-        unit: impl FnOnce(&str) -> Option<T>,
-        data: impl FnOnce(&mut Self, &str) -> Result<T, ProtoError>,
+        unit: impl FnOnce(&[u8]) -> Option<T>,
+        data: impl FnOnce(&mut Self, &[u8]) -> Result<T, ProtoError>,
     ) -> Result<T, ProtoError> {
         if self.take("\"") {
             let name = self.name()?;
@@ -929,19 +956,19 @@ impl FromJson for Request {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
         r.variant(
             |name| match name {
-                "Quiesce" => Some(Request::Quiesce),
-                "Evict" => Some(Request::Evict),
-                "Digest" => Some(Request::Digest),
+                b"Quiesce" => Some(Request::Quiesce),
+                b"Evict" => Some(Request::Evict),
+                b"Digest" => Some(Request::Digest),
                 _ => None,
             },
             |r, name| {
                 Ok(match name {
-                    "RegisterTenant" => fields!(r; Request::RegisterTenant {
+                    b"RegisterTenant" => fields!(r; Request::RegisterTenant {
                         expected_clients, mailbox_cap, ballot_min, ballot_max
                     }),
-                    "Observe" => fields!(r; Request::Observe { key, value }),
-                    "Ballot" => fields!(r; Request::Ballot { round, value }),
-                    "Tick" => fields!(r; Request::Tick { round }),
+                    b"Observe" => fields!(r; Request::Observe { key, value }),
+                    b"Ballot" => fields!(r; Request::Ballot { round, value }),
+                    b"Tick" => fields!(r; Request::Tick { round }),
                     _ => return Err(r.error("unknown variant")),
                 })
             },
@@ -953,13 +980,13 @@ impl FromJson for RejectReason {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
         r.variant(
             |name| match name {
-                "UnknownTenant" => Some(RejectReason::UnknownTenant),
-                "TenantExists" => Some(RejectReason::TenantExists),
-                "TenantLimit" => Some(RejectReason::TenantLimit),
-                "Quiescing" => Some(RejectReason::Quiescing),
-                "QuotaExceeded" => Some(RejectReason::QuotaExceeded),
-                "StreamLimit" => Some(RejectReason::StreamLimit),
-                "BadFrame" => Some(RejectReason::BadFrame),
+                b"UnknownTenant" => Some(RejectReason::UnknownTenant),
+                b"TenantExists" => Some(RejectReason::TenantExists),
+                b"TenantLimit" => Some(RejectReason::TenantLimit),
+                b"Quiescing" => Some(RejectReason::Quiescing),
+                b"QuotaExceeded" => Some(RejectReason::QuotaExceeded),
+                b"StreamLimit" => Some(RejectReason::StreamLimit),
+                b"BadFrame" => Some(RejectReason::BadFrame),
                 _ => None,
             },
             |r, _| Err(r.error("unknown variant")),
@@ -989,14 +1016,14 @@ impl FromJson for Reply {
             |_| None,
             |r, name| {
                 Ok(match name {
-                    "Registered" => fields!(r; Reply::Registered { tenant }),
-                    "Quiesced" => fields!(r; Reply::Quiesced { tenant }),
-                    "Evicted" => Reply::Evicted(FromJson::read_json(r)?),
-                    "Observed" => fields!(r; Reply::Observed { satisfied }),
-                    "BallotAccepted" => fields!(r; Reply::BallotAccepted { round }),
-                    "RoundResult" => Reply::RoundResult(FromJson::read_json(r)?),
-                    "Digest" => Reply::Digest(FromJson::read_json(r)?),
-                    "Rejected" => fields!(r; Reply::Rejected { reason, retry_after_ms }),
+                    b"Registered" => fields!(r; Reply::Registered { tenant }),
+                    b"Quiesced" => fields!(r; Reply::Quiesced { tenant }),
+                    b"Evicted" => Reply::Evicted(FromJson::read_json(r)?),
+                    b"Observed" => fields!(r; Reply::Observed { satisfied }),
+                    b"BallotAccepted" => fields!(r; Reply::BallotAccepted { round }),
+                    b"RoundResult" => Reply::RoundResult(FromJson::read_json(r)?),
+                    b"Digest" => Reply::Digest(FromJson::read_json(r)?),
+                    b"Rejected" => fields!(r; Reply::Rejected { reason, retry_after_ms }),
                     _ => return Err(r.error("unknown variant")),
                 })
             },

@@ -326,6 +326,21 @@ const REQUESTS: &[(&[u8], bool)] = &[
     (b"{\"Observe\":{\"key\":\"a,\"value\":0}}", false),
     (b"{\"Observe\":{\"key\":'a',\"value\":0}}", false),
     (b"{\"Observe\":{\"key\":null,\"value\":0}}", false),
+    // Non-ASCII bytes only inside strings, and there only as whole UTF-8
+    // characters: not split by an escape or the closing quote, and no
+    // lone continuation byte, encoded surrogate or overlong form.  Not in
+    // a name, after the body or inside an integer.
+    (b"{\"Observe\":{\"key\":\"\xf0\x9f\x98\x80\",\"value\":0}}", true),
+    (b"{\"Observe\":{\"key\":\"\xc3\\n\xa9\",\"value\":0}}", false),
+    (b"{\"Observe\":{\"key\":\"\xc3\",\"value\":0}}", false),
+    (b"{\"Observe\":{\"key\":\"\xa9\",\"value\":0}}", false),
+    (b"{\"Observe\":{\"key\":\"\xed\xa0\x80\",\"value\":0}}", false),
+    (b"{\"Observe\":{\"key\":\"\xc0\xaf\",\"value\":0}}", false),
+    (b"{\"Obs\xffrve\":{\"key\":\"k\",\"value\":0}}", false),
+    (b"{\"Observe\":{\"k\xc3\xa9y\":\"k\",\"value\":0}}", false),
+    (b"\"Dig\xc3\xa9st\"", false),
+    (b"{\"Observe\":{\"key\":\"k\",\"value\":0}}\xc3\xa9", false),
+    (b"{\"Observe\":{\"key\":\"k\",\"value\":5\xff}}", false),
     // Integers in canonical decimal: `0`, or no leading zero, and a `-`
     // only before a negative `i64`; then the field's range.
     (b"{\"Tick\":{\"round\":007}}", false),
