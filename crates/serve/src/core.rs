@@ -315,44 +315,46 @@ impl ServerCore {
 
     /// Drains and processes one tenant's mailbox; returns the replies.
     pub fn pump(&mut self, tenant: TenantId) -> Vec<Outbound> {
-        let Some(slot) = self.tenants.get_mut(&tenant.0) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
+        self.pump_into(tenant, &mut out);
+        out
+    }
+
+    /// Drains and processes one tenant's mailbox, giving `out` the
+    /// replies in the order [`ServerCore::pump`] returns them.
+    pub(crate) fn pump_into(&mut self, tenant: TenantId, out: &mut impl Replies) {
+        let Some(slot) = self.tenants.get_mut(&tenant.0) else {
+            return;
+        };
         while let Some(item) = slot.mailbox.pop_front() {
             slot.clients.insert(item.stream, item.addr);
             match item.request {
                 Request::Observe { key, value } => {
                     let satisfied = slot.tenant.observe(item.stream, &key, value);
-                    out.push((
-                        item.addr,
-                        Frame::reply(tenant, item.stream, Reply::Observed { satisfied }).encode(),
-                    ));
+                    let observed = Reply::Observed { satisfied };
+                    out.reply(item.addr, &Frame::reply(tenant, item.stream, observed));
                 }
                 Request::Ballot { round, value } => {
-                    out.push((
-                        item.addr,
-                        Frame::reply(tenant, item.stream, Reply::BallotAccepted { round }).encode(),
-                    ));
+                    let accepted = Reply::BallotAccepted { round };
+                    out.reply(item.addr, &Frame::reply(tenant, item.stream, accepted));
                     let rounds = slot.tenant.ballot(item.stream, round, value);
-                    broadcast_rounds(tenant, &slot.clients, rounds, &mut out);
+                    broadcast_rounds(tenant, &slot.clients, rounds, out);
                 }
                 Request::Tick { round } => {
                     let rounds = slot.tenant.tick(item.stream, round);
-                    broadcast_rounds(tenant, &slot.clients, rounds, &mut out);
+                    broadcast_rounds(tenant, &slot.clients, rounds, out);
                 }
                 // Control requests never reach a mailbox.
                 _ => {}
             }
         }
-        out
     }
 
     /// Pumps every hosted tenant once, in tenant-id order.
     pub fn pump_all(&mut self) -> Vec<Outbound> {
         let mut out = Vec::new();
         for tenant in self.tenant_ids() {
-            out.extend(self.pump(tenant));
+            self.pump_into(tenant, &mut out);
         }
         out
     }
@@ -496,15 +498,41 @@ fn broadcast_rounds(
     tenant: TenantId,
     clients: &BTreeMap<u32, ClientAddr>,
     rounds: Vec<crate::proto::RoundResult>,
-    out: &mut Vec<Outbound>,
+    out: &mut impl Replies,
 ) {
-    out.reserve(rounds.len() * clients.len());
     for result in rounds {
         let encoded = Frame::reply(tenant, 0, Reply::RoundResult(result)).encode();
+        out.fan_out(&encoded, clients);
+    }
+}
+
+/// Where [`ServerCore::pump_into`] puts the replies it makes: a
+/// `Vec<Outbound>` for [`ServerCore::pump`]'s callers, or the reactor's
+/// outbox, which frames them for the socket as they come.  Either way
+/// the replies keep the core's order.
+pub(crate) trait Replies {
+    /// Adds `frame`, a reply to `addr`.
+    fn reply(&mut self, addr: ClientAddr, frame: &Frame);
+
+    /// Adds one copy of `round`, one round's result encoded once, for
+    /// each attached stream in `clients`, in stream order, each with
+    /// that stream's id in its header and sent to that stream's
+    /// address.
+    fn fan_out(&mut self, round: &[u8], clients: &BTreeMap<u32, ClientAddr>);
+}
+
+/// One exact-size buffer per reply and per copy.
+impl Replies for Vec<Outbound> {
+    fn reply(&mut self, addr: ClientAddr, frame: &Frame) {
+        self.push((addr, frame.encode()));
+    }
+
+    fn fan_out(&mut self, round: &[u8], clients: &BTreeMap<u32, ClientAddr>) {
+        self.reserve(clients.len());
         for (&stream, &addr) in clients {
-            let mut bytes = encoded.clone();
+            let mut bytes = round.to_vec();
             Frame::restream(&mut bytes, stream);
-            out.push((addr, bytes));
+            self.push((addr, bytes));
         }
     }
 }
@@ -512,7 +540,8 @@ fn broadcast_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::KIND_REQUEST;
+    use crate::proto::{write_framed, KIND_REQUEST};
+    use crate::reactor::Outbox;
     use crate::tenant::MAX_TICK_ROUNDS;
 
     fn core() -> ServerCore {
@@ -650,6 +679,124 @@ mod tests {
             .flat_map(|round| streams.map(|stream| (round, stream)))
             .collect();
         assert_eq!(sent, want);
+    }
+
+    /// Frames `replies` as the socket carries them, one
+    /// `(address, messages)` entry per run of replies to one address.
+    fn framed_runs(replies: &[Outbound]) -> Vec<(ClientAddr, Vec<u8>)> {
+        let mut runs: Vec<(ClientAddr, Vec<u8>)> = Vec::new();
+        for (addr, frame) in replies {
+            match runs.last_mut() {
+                Some((last, bytes)) if last == addr => write_framed(bytes, frame),
+                _ => {
+                    let mut bytes = Vec::new();
+                    write_framed(&mut bytes, frame);
+                    runs.push((*addr, bytes));
+                }
+            }
+        }
+        runs
+    }
+
+    fn outbox_runs(outbox: &Outbox) -> Vec<(ClientAddr, Vec<u8>)> {
+        outbox
+            .runs()
+            .map(|(addr, bytes)| (addr, bytes.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn both_reply_sinks_carry_the_same_bytes() {
+        let streams = [0, 1, 255, 65_536, u32::MAX];
+        let observe = |value| Request::Observe {
+            key: "ballot".into(),
+            value,
+        };
+        let ballot = |value: &str| Request::Ballot {
+            round: 1,
+            value: value.into(),
+        };
+        // Three addresses, interleaved, with some requests in a row from
+        // one address.  The fifth ballot closes round 1 with all five
+        // streams attached, and the tick closes rounds 2 and 3.
+        let mailbox = [
+            (10, 0, observe(1)),
+            (10, 1, ballot("a")),
+            (11, 255, observe(2)),
+            (12, 65_536, ballot("b")),
+            (11, 255, ballot("a")),
+            (12, u32::MAX, observe(3)),
+            (10, 0, ballot("a")),
+            (10, 1, observe(4)),
+            (12, u32::MAX, ballot("b")),
+            (11, 255, observe(5)),
+            (11, 0, Request::Tick { round: 3 }),
+        ];
+        let mut cores = [core(), core()];
+        for c in &mut cores {
+            register(c, 1, streams.len() as u32, 0);
+            for (addr, stream, request) in mailbox.clone() {
+                let frame = Frame::request(TenantId(1), stream, request).encode();
+                assert!(matches!(
+                    c.enqueue(ClientAddr(addr), &frame),
+                    Enqueued::Queued(_)
+                ));
+            }
+        }
+        let [mut listed, mut framed] = cores;
+        let replies = listed.pump(TenantId(1));
+        let mut outbox = Outbox::default();
+        framed.pump_into(TenantId(1), &mut outbox);
+
+        let rounds: Vec<u64> = decoded(&replies)
+            .into_iter()
+            .filter_map(|reply| match reply {
+                Reply::RoundResult(result) => Some(result.round),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<u64> = (1..=3).flat_map(|round| [round; 5]).collect();
+        assert_eq!(rounds, want, "three rounds, each to five streams");
+        let runs = framed_runs(&replies);
+        assert!(runs.len() < replies.len(), "some replies share a run");
+        assert_eq!(outbox_runs(&outbox), runs);
+    }
+
+    #[test]
+    fn two_pumps_for_one_address_append_as_one_run() {
+        // Tenants 1 and 2 answer address 7, tenant 3 address 8.
+        let tenants = [(1, 7), (2, 7), (3, 8)];
+        let mut cores = [core(), core()];
+        for c in &mut cores {
+            for (tenant, addr) in tenants {
+                register(c, tenant, 1, 0);
+                for value in [1, 2] {
+                    let observe = Request::Observe {
+                        key: "ballot".into(),
+                        value,
+                    };
+                    let frame = Frame::request(TenantId(tenant), 0, observe).encode();
+                    assert!(matches!(
+                        c.enqueue(ClientAddr(addr), &frame),
+                        Enqueued::Queued(_)
+                    ));
+                }
+            }
+        }
+        let [mut listed, mut framed] = cores;
+        let mut replies = Vec::new();
+        let mut outbox = Outbox::default();
+        for (tenant, _) in tenants {
+            replies.extend(listed.pump(TenantId(tenant)));
+            let mut own = Outbox::default();
+            framed.pump_into(TenantId(tenant), &mut own);
+            outbox.append(own);
+            if tenant == 2 {
+                let runs = outbox_runs(&outbox).len();
+                assert_eq!(runs, 1, "the reactor moves only a lone run");
+            }
+        }
+        assert_eq!(outbox_runs(&outbox), framed_runs(&replies));
     }
 
     #[test]

@@ -87,6 +87,20 @@ impl<'a> Flags<'a> {
         })
     }
 
+    /// [`Flags::num`] for a count of tenants or clients, which must be
+    /// at least 1: with none there is nothing to serve or compare.
+    fn count<T: std::str::FromStr + From<u8> + PartialEq>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let value = self.num(name, default)?;
+        if value == T::from(0) {
+            return Err(format!("{name}: needs at least 1, not 0"));
+        }
+        Ok(value)
+    }
+
     /// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`,
     /// each read by [`parse_seed`] (decimal or `0x`-hex).  A malformed
     /// `--seed` is refused; an unset or malformed `AFTA_SEED` gives
@@ -201,8 +215,8 @@ fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
     )?;
     let config = ServeExperimentConfig {
         seed: flags.seed(42)?,
-        tenants: flags.num("--tenants", 8)?,
-        clients: flags.num("--clients", 16)?,
+        tenants: flags.count("--tenants", 8)?,
+        clients: flags.count("--clients", 16)?,
         rounds: flags.num("--rounds", 12)?,
         ..ServeExperimentConfig::default()
     };
@@ -298,7 +312,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         ],
     )?;
     let connections: usize = flags.num("--connections", 10_000)?;
-    let tenants: u16 = flags.num("--tenants", 8)?;
+    let tenants: u16 = flags.count("--tenants", 8)?;
     let frames: u32 = flags.num("--frames", 1)?;
     let workers: usize = flags.num("--workers", 4)?;
     let timeout = Duration::from_millis(flags.num("--timeout-ms", 60_000)?);
@@ -310,7 +324,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         workers,
     };
     let serve_config = ServeConfig {
-        max_tenants: usize::from(tenants).max(1),
+        max_tenants: usize::from(tenants),
         // One stream per connection: the cap must clear connections/tenants.
         max_streams_per_tenant: u32::MAX,
         seed,

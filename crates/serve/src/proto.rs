@@ -13,8 +13,12 @@
 //!
 //! On a socket (the reactor path) each frame is wrapped in a `u32`
 //! big-endian length prefix, so a socket carries
-//! `[len][frame][len][frame]...`.  [`write_framed`] and [`next_framed`]
-//! are the only code that writes or parses that prefix.  It is not
+//! `[len][frame][len][frame]...`.  Only this module writes or parses
+//! that prefix: [`write_framed`] wraps an encoded frame, `encode_framed`
+//! encodes a frame straight into its message (it reserves the prefix,
+//! writes the header and body after it, then fills in the length, so
+//! the reactor frames its replies with no buffer per reply), and
+//! [`next_framed`] slices messages back off.  It is not
 //! `TcpTransport`'s framing, which puts a tag byte after the length
 //! (`[len][tag][body]`).
 //!
@@ -311,6 +315,24 @@ pub fn write_framed(out: &mut Vec<u8>, frame: &[u8]) {
     out.extend_from_slice(frame);
 }
 
+/// Appends `frame` to `out` as one [`write_framed`] message, encoded in
+/// place: the bytes of `write_framed(out, &frame.encode())` with no
+/// buffer of the frame's own.  The prefix's bytes are reserved first,
+/// the header and body encoded after them, and the length filled in
+/// last.
+///
+/// # Panics
+///
+/// Panics if the frame is longer than `u32::MAX` bytes.
+pub(crate) fn encode_framed(out: &mut Vec<u8>, frame: &Frame) {
+    let start = out.len();
+    out.extend_from_slice(&[0; LEN_PREFIX]);
+    frame.write_to(out);
+    let len = out.len() - start - LEN_PREFIX;
+    let len = u32::try_from(len).expect("frame fits the u32 length prefix");
+    out[start..start + LEN_PREFIX].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Slices the first message written by [`write_framed`] off the front
 /// of `buf`.
 ///
@@ -365,14 +387,19 @@ impl Frame {
         let mut len = Len(FRAME_HEADER_LEN);
         self.body.write_json(&mut len);
         let mut out = Vec::with_capacity(len.0);
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the header and the JSON body to `out`.
+    fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.tenant.0.to_be_bytes());
         out.extend_from_slice(&self.stream.to_be_bytes());
         out.push(match self.body {
             Body::Request(_) => KIND_REQUEST,
             Body::Reply(_) => KIND_REPLY,
         });
-        self.body.write_json(&mut out);
-        out
+        self.body.write_json(out);
     }
 
     /// Decodes a frame produced by [`Frame::encode`], and nothing else:

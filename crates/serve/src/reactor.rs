@@ -13,22 +13,34 @@
 //! * **a small worker pool** doing the real work: when a frame turns a
 //!   tenant's mailbox from empty to non-empty, the reactor hands that
 //!   tenant id to the worker `tenant % workers`, which drains and
-//!   processes the whole mailbox ([`ServerCore::pump`]) and queues the
-//!   replies back to the reactor.  A frame admitted behind others finds
-//!   their hand-off still pending and sends none, so a worker takes the
-//!   core lock once per ready tenant, not once per frame.  Hashing
-//!   tenants onto workers keeps each tenant's processing FIFO.
+//!   processes the whole mailbox (the loop behind [`ServerCore::pump`])
+//!   and queues the replies back to the reactor.  A frame admitted
+//!   behind others finds their hand-off still pending and sends none, so
+//!   a worker takes the core lock once per ready tenant, not once per
+//!   frame.  Hashing tenants onto workers keeps each tenant's processing
+//!   FIFO.
 //!
 //! Every reply carries the address of the connection it answers.  The
 //! workers and the reactor's own inline admissions alike append their
 //! replies to one outbox while they hold the core lock, so the outbox
-//! keeps the order in which the core made them, and one loop routes it
-//! into the connections' write buffers.  A connection therefore reads
-//! its replies in request order even when an `Evict` from another
-//! connection answers the requests its tenant still had queued.  What
-//! the core answers at admission (a control request, a rejection) is
-//! the exception: it can overtake the answers to the connection's own
-//! requests still waiting in a mailbox.
+//! keeps the order in which the core made them.  The outbox holds the
+//! replies framed for the socket: `[len][frame]` messages back to back
+//! in one buffer, and the address and start of each run of messages to
+//! one connection.  A worker pumps into an outbox of its own, which
+//! frames each reply in place with no buffer per reply, and appends it
+//! to the shared one before it releases the core lock: a move when the
+//! shared one is empty, and a first run addressed like the last one
+//! there extends that run.  The reactor takes the whole outbox each
+//! pass.  When one run covers it and that connection has nothing
+//! unsent, the outbox's buffer becomes the connection's write buffer,
+//! with no copy; otherwise each run is copied once, onto the end of its
+//! connection's write buffer.  No outbox buffer is kept from one pass
+//! to the next.  A connection therefore reads its replies in request
+//! order even when an `Evict` from another connection answers the
+//! requests its tenant still had queued.  What the core answers at
+//! admission (a control request, a rejection) is the exception: it can
+//! overtake the answers to the connection's own requests still waiting
+//! in a mailbox.
 //!
 //! `poll` watches the listener, every connection and a *waker*, one end
 //! of a socket pair.  A connection asks for `POLLOUT` only while it has
@@ -47,14 +59,17 @@
 //! The `serve.reactor.sweep` histogram times each pass from `poll`'s
 //! return to the end of its work, so it measures work, not waiting in
 //! `poll`.  On a shared CPU a pass also counts the time of the threads
-//! it wakes (a worker, a client) if they run before it ends.
+//! it wakes (a worker, a client) if they run before it ends.  The
+//! `serve.reactor.pump` histogram times each worker's pump, under the
+//! core lock, so the two split the serving time between the threads.
 //!
 //! Framing on the wire is `[u32 big-endian length][frame bytes]` per
-//! message ([`write_framed`] / [`next_framed`]), with the multiplexed
-//! [`Frame`](crate::proto::Frame) header inside.  It is not
-//! `TcpTransport`'s framing, which adds a tag byte after the length.
+//! message ([`write_framed`] and `encode_framed` write it,
+//! [`next_framed`] reads it), with the multiplexed [`Frame`] header
+//! inside.  It is not `TcpTransport`'s framing, which adds a tag byte
+//! after the length.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -65,10 +80,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use afta_eventbus::poll::{poll, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use afta_telemetry::{Registry, DEFAULT_TIME_BOUNDS_NS};
+use afta_telemetry::{FixedHistogram, Registry, DEFAULT_TIME_BOUNDS_NS};
 
-use crate::core::{ClientAddr, Enqueued, Outbound, ServeConfig, ServerCore};
-use crate::proto::{next_framed, write_framed, TenantId};
+use crate::core::{ClientAddr, Enqueued, Outbound, Replies, ServeConfig, ServerCore};
+use crate::proto::{encode_framed, next_framed, write_framed, Frame, TenantId};
 
 /// How long the loop pauses after `poll` or `accept` fails, instead of
 /// retrying at once into the same failure.
@@ -122,12 +137,117 @@ struct Conn {
     written: usize,
 }
 
+/// Replies framed for the socket, in the order the core made them:
+/// `[len][frame]` messages back to back in one buffer, and where each
+/// run of messages to one connection starts (see the module docs).
+#[derive(Default)]
+pub(crate) struct Outbox {
+    bytes: Vec<u8>,
+    /// `(address, start in bytes)` of each run, in order; no two
+    /// adjacent runs share an address.
+    starts: Vec<(ClientAddr, usize)>,
+}
+
+impl Outbox {
+    fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Opens a run to `addr` at `start` unless the last run goes there.
+    fn open(&mut self, addr: ClientAddr, start: usize) {
+        if self.starts.last().map(|&(last, _)| last) != Some(addr) {
+            self.starts.push((addr, start));
+        }
+    }
+
+    /// Adds `frame`, one encoded frame, as a message to `addr`.
+    fn push(&mut self, addr: ClientAddr, frame: &[u8]) {
+        self.open(addr, self.bytes.len());
+        write_framed(&mut self.bytes, frame);
+    }
+
+    /// Appends `other`'s messages after these: a move when this outbox
+    /// is empty.  A first run of `other`'s addressed like the last run
+    /// here extends that run.
+    pub(crate) fn append(&mut self, other: Outbox) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let offset = self.bytes.len();
+        for (addr, start) in other.starts {
+            self.open(addr, offset + start);
+        }
+        self.bytes.extend_from_slice(&other.bytes);
+    }
+
+    /// Each run's address and messages, in order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (ClientAddr, &[u8])> {
+        let ends = self.starts.iter().skip(1).map(|&(_, start)| start);
+        self.starts
+            .iter()
+            .zip(ends.chain([self.bytes.len()]))
+            .map(|(&(addr, start), end)| (addr, &self.bytes[start..end]))
+    }
+
+    /// Hands every run to its connection's write buffer, in order.  A
+    /// lone run to a connection with nothing unsent becomes its write
+    /// buffer, with no copy; otherwise each run is copied once.  Runs to
+    /// a connection that closed meanwhile are dropped, like any send on
+    /// a broken link.
+    fn deliver(self, conns: &mut HashMap<u64, Conn>) {
+        if let [(addr, _)] = self.starts[..] {
+            if let Some(conn) = conns.get_mut(&addr.0) {
+                if conn.write_buf.is_empty() {
+                    conn.write_buf = self.bytes;
+                    return;
+                }
+            }
+        }
+        for (addr, messages) in self.runs() {
+            if let Some(conn) = conns.get_mut(&addr.0) {
+                conn.write_buf.extend_from_slice(messages);
+            }
+        }
+    }
+}
+
+/// Frames each reply in place, and a round's copies from its one
+/// encoding, with no buffer per reply.
+impl Replies for Outbox {
+    fn reply(&mut self, addr: ClientAddr, frame: &Frame) {
+        self.open(addr, self.bytes.len());
+        encode_framed(&mut self.bytes, frame);
+    }
+
+    fn fan_out(&mut self, round: &[u8], clients: &BTreeMap<u32, ClientAddr>) {
+        for (&stream, &addr) in clients {
+            self.push(addr, round);
+            let copy = self.bytes.len() - round.len();
+            Frame::restream(&mut self.bytes[copy..], stream);
+        }
+    }
+}
+
+/// The replies the core returns to the reactor's inline admissions.
+impl From<Vec<Outbound>> for Outbox {
+    fn from(replies: Vec<Outbound>) -> Self {
+        let mut outbox = Outbox::default();
+        for (addr, frame) in replies {
+            outbox.push(addr, &frame);
+        }
+        outbox
+    }
+}
+
 /// Shared between the reactor thread, the workers, and the handle.
 struct Shared {
     core: Mutex<ServerCore>,
-    /// Every reply in the order the core made it, appended by
-    /// [`Shared::post`] and taken by the reactor each pass.
-    outbox: Mutex<Vec<Outbound>>,
+    /// Every reply in the order the core made it, framed for the
+    /// socket: appended by [`Shared::post`] and taken whole by the
+    /// reactor each pass, which hands it to the connections (a move
+    /// when one run covers it) and keeps no part of it.
+    outbox: Mutex<Outbox>,
     stop: AtomicBool,
     /// The waker pair: [`Shared::wake`] writes to `wake_tx`, the
     /// reactor polls and drains `wake_rx`.  Both ends live as long as
@@ -147,10 +267,10 @@ impl Shared {
     /// Appends `replies` to the outbox and says whether it was empty.
     /// Call it with the core still locked, so the outbox keeps the
     /// core's order.
-    fn post(&self, replies: Vec<Outbound>) -> bool {
+    fn post(&self, replies: Outbox) -> bool {
         let mut outbox = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
         let was_empty = outbox.is_empty();
-        outbox.extend(replies);
+        outbox.append(replies);
         was_empty
     }
 }
@@ -195,7 +315,7 @@ impl Reactor {
         wake_rx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             core: Mutex::new(ServerCore::new(serve, registry)),
-            outbox: Mutex::new(Vec::new()),
+            outbox: Mutex::new(Outbox::default()),
             stop: AtomicBool::new(false),
             wake_tx,
             wake_rx,
@@ -203,11 +323,15 @@ impl Reactor {
         let worker_count = config.workers.max(1);
         let mut senders: Vec<Sender<TenantId>> = Vec::with_capacity(worker_count);
         let mut workers = Vec::with_capacity(worker_count);
+        let pumps = registry.histogram("serve.reactor.pump", &DEFAULT_TIME_BOUNDS_NS);
         for _ in 0..worker_count {
             let (tx, rx) = std::sync::mpsc::channel::<TenantId>();
             senders.push(tx);
             let shared = shared.clone();
-            workers.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
+            let pumps = pumps.clone();
+            workers.push(std::thread::spawn(move || {
+                worker_loop(&shared, &rx, &pumps);
+            }));
         }
         let reactor = {
             let shared = shared.clone();
@@ -278,15 +402,23 @@ impl Drop for Reactor {
     }
 }
 
-/// The worker side: drain assigned tenants until every sender is gone.
-fn worker_loop(shared: &Shared, rx: &Receiver<TenantId>) {
+/// The worker side: drain assigned tenants until every sender is gone,
+/// timing each pump in `pumps`.
+fn worker_loop(shared: &Shared, rx: &Receiver<TenantId>, pumps: &FixedHistogram) {
     while let Ok(tenant) = rx.recv() {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
         let was_empty = {
             let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
-            let replies = core.pump(tenant);
+            // An outbox of the worker's own, so the shared one is locked
+            // only to append to it (see the module docs).
+            let mut replies = Outbox::default();
+            let pump = Instant::now();
+            core.pump_into(tenant, &mut replies);
+            // Recorded before the replies are posted, so a client that
+            // has read them also sees this pump counted.
+            pumps.record(u64::try_from(pump.elapsed().as_nanos()).unwrap_or(u64::MAX));
             !replies.is_empty() && shared.post(replies)
         };
         // Only the first reply since the reactor last took the outbox
@@ -456,7 +588,7 @@ fn reactor_loop(
                     let mut core = shared.core.lock().unwrap_or_else(|e| e.into_inner());
                     match core.enqueue(ClientAddr(id), frame) {
                         Enqueued::Handled(replies) | Enqueued::Rejected(replies) => {
-                            shared.post(replies);
+                            shared.post(replies.into());
                             None
                         }
                         // Only the frame that turns the mailbox from empty
@@ -482,23 +614,9 @@ fn reactor_loop(
         }
 
         // Route every reply by its address, in the core's order (see
-        // the module docs).
-        let outbound =
-            std::mem::take(&mut *shared.outbox.lock().unwrap_or_else(|e| e.into_inner()));
-        // One lookup per run of replies to the same connection.
-        let mut run: Option<u64> = None;
-        let mut conn: Option<&mut Conn> = None;
-        for (dest, bytes) in outbound {
-            if run != Some(dest.0) {
-                run = Some(dest.0);
-                conn = conns.get_mut(&dest.0);
-            }
-            // Replies to a connection that closed meanwhile are dropped,
-            // like any send on a broken link.
-            if let Some(conn) = conn.as_deref_mut() {
-                write_framed(&mut conn.write_buf, &bytes);
-            }
-        }
+        // the module docs), with the outbox unlocked again.
+        let outbox = std::mem::take(&mut *shared.outbox.lock().unwrap_or_else(|e| e.into_inner()));
+        outbox.deliver(&mut conns);
 
         // Flush as much as each socket accepts; what is left makes the
         // next `poll` ask for `POLLOUT` on that connection.
@@ -563,6 +681,54 @@ mod tests {
         let reactor = Reactor::bind("127.0.0.1:0", config, ServeConfig::default(), &registry)
             .expect("bind the loopback reactor");
         (reactor, registry)
+    }
+
+    /// A `Conn` on the accepted end of a loopback pair, and the client
+    /// end, which keeps the socket open.
+    fn conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback listener");
+        let client = TcpStream::connect(listener.local_addr().expect("listener address"))
+            .expect("connect to the listener");
+        let (stream, _) = listener.accept().expect("accept the client");
+        let conn = Conn {
+            stream,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+            written: 0,
+        };
+        (conn, client)
+    }
+
+    #[test]
+    fn deliver_moves_a_lone_run_to_an_idle_connection_and_copies_the_rest() {
+        let messages = |frames: &[u8]| {
+            let mut out = Vec::new();
+            for &n in frames {
+                write_framed(&mut out, &[n; 9]);
+            }
+            out
+        };
+        let outbox = |runs: &[(u64, u8)]| {
+            let mut outbox = Outbox::default();
+            for &(addr, n) in runs {
+                outbox.push(ClientAddr(addr), &[n; 9]);
+            }
+            outbox
+        };
+        let ((a, _a), (b, _b)) = (conn(), conn());
+        let mut conns = HashMap::from([(1, a), (2, b)]);
+
+        // One run to a connection with nothing unsent: its buffer moves.
+        let lone = outbox(&[(1, 1), (1, 2)]);
+        let buffer = lone.bytes.as_ptr();
+        lone.deliver(&mut conns);
+        assert_eq!(conns[&1].write_buf.as_ptr(), buffer, "a lone run is moved");
+        // One run behind unsent bytes, then three runs, one of them to a
+        // connection that is gone: each run is copied, in order.
+        outbox(&[(1, 3)]).deliver(&mut conns);
+        outbox(&[(2, 4), (3, 5), (2, 6), (1, 7)]).deliver(&mut conns);
+        assert_eq!(conns[&1].write_buf, messages(&[1, 2, 3, 7]));
+        assert_eq!(conns[&2].write_buf, messages(&[4, 6]));
     }
 
     fn register_tenant_1(client: &mut TcpClient) {
@@ -873,6 +1039,10 @@ mod tests {
                 (1..=queued).contains(&handoffs),
                 "{workers} workers: {handoffs} hand-offs for {queued} queued requests"
             );
+            // Each hand-off is one worker pump, recorded before its
+            // replies are posted.
+            let pumps = registry.histogram("serve.reactor.pump", &DEFAULT_TIME_BOUNDS_NS);
+            assert_eq!(pumps.count(), handoffs, "{workers} workers: pumps timed");
             reactor.shutdown();
         }
     }

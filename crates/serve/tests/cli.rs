@@ -1,7 +1,8 @@
 //! End-to-end tests of the `afta-serve` command line: each subcommand
-//! refuses an unknown flag, a flag without a value and a value that does
-//! not parse, exiting 2 with a message that names the flag before it
-//! binds or runs anything, and every flag it took before still runs.
+//! refuses an unknown flag, a flag without a value, a value that does
+//! not parse and a zero count of tenants or clients, exiting 2 with a
+//! message that names the flag before it binds or runs anything, and
+//! every flag it took before still runs.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -65,6 +66,13 @@ fn each_subcommand_refuses_what_it_cannot_parse() {
         (&["e8", "--rounds", "twelve"], "--rounds"),
         (&["e8", "--seed", "0xZZ"], "--seed"),
         (&["e8", "--transport", "udp"], "--transport"),
+        // A count of tenants or clients that leaves nothing to run.
+        (
+            &["soak", "--tenants", "0", "--connections", "4"],
+            "--tenants",
+        ),
+        (&["e8", "--clients", "0"], "--clients"),
+        (&["e8", "--tenants", "0"], "--tenants"),
     ];
     for &(args, flag) in cases {
         let out = run(args);

@@ -151,6 +151,7 @@ fn every_server_metric_is_documented() {
         "serve.reactor.unsent_closed",
         "serve.reactor.handoffs",
         "serve.reactor.sweep",
+        "serve.reactor.pump",
     ] {
         assert!(
             doc.contains(metric),
