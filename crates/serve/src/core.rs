@@ -69,8 +69,8 @@ pub struct ServeConfig {
     pub max_streams_per_tenant: u32,
     /// Retry hint handed to throttled clients, in milliseconds.
     pub retry_after_ms: u64,
-    /// Master seed for anything the server randomises (none today on
-    /// the serving path itself; recorded so reports carry it).
+    /// Read by nothing: the server randomises nothing, and no report
+    /// carries it.  It stays for the callers that still set it.
     pub seed: u64,
 }
 
@@ -161,12 +161,6 @@ impl ServerCore {
                 bad_frames: registry.counter("serve.bad_frames"),
             },
         }
-    }
-
-    /// The server configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Currently hosted tenant ids, sorted.

@@ -173,7 +173,7 @@ impl ClientLink for InProcess {
 
 /// A blocking TCP client of the [`Reactor`]: one socket speaking the
 /// `[u32 len][frame]` stream framing, with a 10 s read timeout.  The
-/// E8 TCP run and the soak's control connection use it.
+/// E8 TCP run and every connection of the soak use it.
 #[derive(Debug)]
 pub struct TcpClient {
     stream: TcpStream,
@@ -374,13 +374,9 @@ fn report_from(
 /// The run fails if any reply is left unread, so a reply the server
 /// duplicated or sent to the wrong client cannot go unnoticed.
 fn run_in_process(config: &ServeExperimentConfig, registry: &Registry) -> ServeExperimentReport {
-    let serve = ServeConfig {
-        seed: config.seed,
-        ..ServeConfig::default()
-    };
     let total = usize::from(config.tenants) * config.clients as usize;
     let mut link = InProcess {
-        core: ServerCore::new(serve, registry),
+        core: ServerCore::new(ServeConfig::default(), registry),
         inboxes: vec![VecDeque::new(); total],
     };
     let digests = drive(&mut link, config);
@@ -392,12 +388,13 @@ fn run_in_process(config: &ServeExperimentConfig, registry: &Registry) -> ServeE
 /// Runs E8 over loopback TCP through the [`Reactor`] and its worker
 /// pool — real sockets, real thread interleaving.
 fn run_on_tcp(config: &ServeExperimentConfig, registry: &Registry) -> ServeExperimentReport {
-    let serve = ServeConfig {
-        seed: config.seed,
-        ..ServeConfig::default()
-    };
-    let reactor = Reactor::bind("127.0.0.1:0", ReactorConfig::default(), serve, registry)
-        .expect("bind the loopback reactor");
+    let reactor = Reactor::bind(
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+        ServeConfig::default(),
+        registry,
+    )
+    .expect("bind the loopback reactor");
     let addr = reactor.local_addr();
     let total = usize::from(config.tenants) * config.clients as usize;
     let mut clients: Vec<TcpClient> = (0..total).map(|_| TcpClient::connect(addr)).collect();

@@ -1,8 +1,6 @@
 //! The `afta-serve` binary: host the service, run the E8 differential,
 //! or soak the reactor.  See [`afta_serve::CLI_HELP`] for the surface.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -11,7 +9,6 @@ use afta_serve::experiment::{
     differential_matches, run_serve_experiment, ServeExperimentConfig, ServeExperimentReport,
     TcpClient,
 };
-use afta_serve::proto::{next_framed, write_framed};
 use afta_serve::{
     Body, Frame, Reactor, ReactorConfig, Reply, Request, ServeConfig, TenantId, CLI_HELP,
 };
@@ -164,7 +161,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--max-tenants",
             "--mailbox-cap",
             "--retry-after-ms",
-            "--seed",
         ],
     )?;
     let addr = flags.get("--addr").unwrap_or("127.0.0.1:0");
@@ -176,7 +172,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         max_tenants: flags.num("--max-tenants", 256)?,
         default_mailbox_cap: flags.num("--mailbox-cap", 64)?,
         retry_after_ms: flags.num("--retry-after-ms", 25)?,
-        seed: flags.seed(0xAF7A)?,
         ..ServeConfig::default()
     };
     let registry = Registry::new();
@@ -283,20 +278,13 @@ fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// One soak connection: a non-blocking loopback socket plus its framing
-/// state.
-struct SoakConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    acked: u32,
-    rejected: u32,
-}
-
 /// `afta-serve soak`: open N concurrent connections against an
 /// in-process reactor, push `--frames` observations down each, and
 /// verify nothing was lost — every frame must come back as `Observed`
 /// or an accounted rejection, and the tenants' digests must carry
 /// exactly the observed count (the serving NoLostShard invariant).
+/// Every connection is a [`TcpClient`], so a failed connect or write,
+/// or a reply that misses its read timeout, panics and fails the run.
 #[allow(clippy::too_many_lines)]
 fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(
@@ -307,7 +295,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             "--frames",
             "--workers",
             "--timeout-ms",
-            "--seed",
             "--json",
         ],
     )?;
@@ -316,7 +303,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     let frames: u32 = flags.num("--frames", 1)?;
     let workers: usize = flags.num("--workers", 4)?;
     let timeout = Duration::from_millis(flags.num("--timeout-ms", 60_000)?);
-    let seed = flags.seed(0xAF7A)?;
 
     let registry = Registry::new();
     let reactor_config = ReactorConfig {
@@ -327,7 +313,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         max_tenants: usize::from(tenants),
         // One stream per connection: the cap must clear connections/tenants.
         max_streams_per_tenant: u32::MAX,
-        seed,
         ..ServeConfig::default()
     };
     let reactor = match Reactor::bind("127.0.0.1:0", reactor_config, serve_config, &registry) {
@@ -340,7 +325,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     let addr = reactor.local_addr();
     let started = Instant::now();
 
-    // Register the tenants through a plain blocking control connection.
+    // Register the tenants through a control connection.
     {
         let mut control = TcpClient::connect(addr);
         for t in 0..tenants {
@@ -365,33 +350,17 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    // Open every connection, then go non-blocking for the sweep.  A
-    // blocking connect returns once the kernel queues it for accept,
-    // and std listens with a backlog of 128: connecting faster than the
-    // reactor accepts overflows that queue, and each dropped SYN is
-    // retransmitted only a second later.  So connect in batches of half
-    // the backlog, each after the reactor has accepted the last.
+    // Open every connection.  A connect returns once the kernel queues
+    // it for accept, and std listens with a backlog of 128: connecting
+    // faster than the reactor accepts overflows that queue, and each
+    // dropped SYN is retransmitted only a second later.  So connect in
+    // batches of half the backlog, each after the reactor has accepted
+    // the last.
     const CONNECT_BATCH: usize = 64;
-    let mut conns: Vec<SoakConn> = Vec::with_capacity(connections);
+    let mut conns: Vec<TcpClient> = Vec::with_capacity(connections);
     while conns.len() < connections {
-        for _ in 0..CONNECT_BATCH.min(connections - conns.len()) {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    stream.set_nonblocking(true).expect("nonblocking client");
-                    let _ = stream.set_nodelay(true);
-                    conns.push(SoakConn {
-                        stream,
-                        buf: Vec::new(),
-                        acked: 0,
-                        rejected: 0,
-                    });
-                }
-                Err(e) => {
-                    eprintln!("soak connect {}/{connections} failed: {e}", conns.len());
-                    return Ok(ExitCode::FAILURE);
-                }
-            }
-        }
+        let batch = CONNECT_BATCH.min(connections - conns.len());
+        conns.extend((0..batch).map(|_| TcpClient::connect(addr)));
         while usize::try_from(reactor.connections()).unwrap_or(0) < conns.len() {
             if started.elapsed() > timeout {
                 eprintln!(
@@ -406,84 +375,47 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    // Push the observations.  Frames are small enough that the socket
-    // buffer absorbs them; a WouldBlock here retries on the next pass.
+    // Push every observation before reading any reply.  The reactor
+    // reads as the frames come, and each connection's few replies wait
+    // in its socket buffer, so no write blocks for long.
     let mut sent: u64 = 0;
     for pass in 0..frames {
         for (i, conn) in conns.iter_mut().enumerate() {
             let tenant = TenantId(u16::try_from(i % usize::from(tenants)).expect("tenant fits"));
             let stream_id = u32::try_from(i / usize::from(tenants)).expect("stream fits");
-            let frame = Frame::request(
+            conn.send(&Frame::request(
                 tenant,
                 stream_id,
                 Request::Observe {
                     key: "ballot".into(),
                     value: i64::try_from(i).unwrap_or(0) + i64::from(pass),
                 },
-            );
-            let mut msg = Vec::new();
-            write_framed(&mut msg, &frame.encode());
-            if write_all_blocking(&mut conn.stream, &msg).is_err() {
-                eprintln!("soak write on connection {i} failed");
-                return Ok(ExitCode::FAILURE);
-            }
+            ));
             sent += 1;
         }
     }
 
-    // Sweep for replies until everything is accounted or the budget is
-    // spent.
-    let mut scratch = vec![0u8; 8192];
-    let expect_per_conn = frames;
-    loop {
-        let mut outstanding = 0u64;
-        let mut progressed = false;
-        for conn in &mut conns {
-            if conn.acked + conn.rejected >= expect_per_conn {
-                continue;
+    // Read each connection's `--frames` replies in turn, checking the
+    // budget after each connection.
+    let (mut observed, mut rejected) = (0u64, 0u64);
+    for (i, conn) in conns.iter_mut().enumerate() {
+        for _ in 0..frames {
+            match conn.recv().body {
+                Body::Reply(Reply::Observed { .. }) => observed += 1,
+                Body::Reply(Reply::Rejected { .. }) => rejected += 1,
+                other => panic!("unexpected soak reply: {other:?}"),
             }
-            outstanding += 1;
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        progressed = true;
-                        conn.buf.extend_from_slice(&scratch[..n]);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            while let Some((bytes, used)) =
-                next_framed(&conn.buf, u32::MAX).expect("no frame limit")
-            {
-                let reply = Frame::decode(bytes).expect("valid reply frame");
-                conn.buf.drain(..used);
-                match reply.body {
-                    Body::Reply(Reply::Observed { .. }) => conn.acked += 1,
-                    Body::Reply(Reply::Rejected { .. }) => conn.rejected += 1,
-                    other => panic!("unexpected soak reply: {other:?}"),
-                }
-            }
-        }
-        if outstanding == 0 {
-            break;
         }
         if started.elapsed() > timeout {
             eprintln!(
-                "soak timed out with {outstanding} connections still waiting after {:?}",
+                "soak timed out with {} connections still to read after {:?}",
+                connections - i - 1,
                 started.elapsed()
             );
             return Ok(ExitCode::FAILURE);
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
 
-    let observed: u64 = conns.iter().map(|c| u64::from(c.acked)).sum();
-    let rejected: u64 = conns.iter().map(|c| u64::from(c.rejected)).sum();
     let peak = reactor.peak_connections();
     let digests: Vec<_> = reactor.with_core(|core| {
         core.tenant_ids()
@@ -525,20 +457,4 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         );
         Ok(ExitCode::FAILURE)
     }
-}
-
-/// `write_all` that rides out `WouldBlock` on a non-blocking socket.
-fn write_all_blocking(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<()> {
-    while !bytes.is_empty() {
-        match stream.write(bytes) {
-            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
-            Ok(n) => bytes = &bytes[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }

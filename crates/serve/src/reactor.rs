@@ -54,6 +54,11 @@
 //! waits for no timer.
 //! A connection left with more than 16 MiB unsent after a flush is
 //! closed: its client sends requests but does not read the answers.
+//! End of stream counts as a dead peer too: the pass that reads it
+//! removes the connection, so a client that half-closes after its last
+//! frame gets only the replies already written.  The requests it had
+//! admitted are still processed and counted, but their replies not yet
+//! written are dropped.
 //! The one `unsafe` call, `poll` itself, lives in
 //! [`afta_eventbus::poll`], so this crate stays `forbid(unsafe_code)`.
 //! The `serve.reactor.sweep` histogram times each pass from `poll`'s
@@ -649,10 +654,9 @@ fn reactor_loop(
             }
         }
 
-        // Reap closed connections.
+        // Reap closed connections; one listed twice is removed, and
+        // counted, once.
         if !dead.is_empty() {
-            dead.sort_unstable();
-            dead.dedup();
             for id in dead.drain(..) {
                 if conns.remove(&id).is_some() {
                     closed.inc();
