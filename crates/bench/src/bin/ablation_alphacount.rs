@@ -15,7 +15,7 @@
 
 use afta_alphacount::windowed::WindowedCount;
 use afta_alphacount::{AlphaCount, DecayPolicy, Judgment, Verdict};
-use afta_bench::arg_u64;
+use afta_bench::arg;
 
 /// A fault pattern: does round `i` (0-based, counted from onset) err?
 #[derive(Clone, Copy)]
@@ -69,7 +69,7 @@ fn fmt_latency(l: Option<u64>) -> String {
 }
 
 fn main() {
-    let rounds = arg_u64("--rounds", 2_000);
+    let rounds = arg::<u64>("--rounds", 2_000);
 
     println!("alpha-count decay sweep, threshold 3.0, {rounds} rounds per cell\n");
     println!(

@@ -6,14 +6,15 @@
 //! minimal redundancy) versus dependability (voting failures) versus
 //! control churn (adaptations), under a storm-heavy environment.
 //!
-//! Flags: `--steps N` (default 200000), `--seed N` (default 42).
+//! Flags: `--steps N` (default 200000), `--seed N` (default
+//! `AFTA_SEED`, else 42).
 
-use afta_bench::arg_u64;
+use afta_bench::{arg, arg_seed};
 use afta_switchboard::{ablation_base, sweep_lower_after, sweep_raise_threshold};
 
 fn main() {
-    let steps = arg_u64("--steps", 200_000);
-    let seed = arg_u64("--seed", 42);
+    let steps = arg::<u64>("--steps", 200_000);
+    let seed = arg_seed(42);
     let base = ablation_base(steps, seed);
 
     println!("environment: cyclic storms (8k calm / 600 @ p=0.08), {steps} steps, seed {seed}\n");

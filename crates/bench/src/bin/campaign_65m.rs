@@ -9,25 +9,25 @@
 //! for every worker count, so the only thing more cores buy is time.
 //!
 //! Flags: `--steps N` (default 65_000_000), `--shards K` (default 64),
-//! `--seed N` (default 42), `--jobs N` (default: available parallelism,
-//! or `AFTA_CAMPAIGN_JOBS`), `--json` (emit the merged campaign report
-//! as JSON instead of the table).
+//! `--seed N` (default `AFTA_SEED`, else 42), `--jobs N` (default:
+//! available parallelism, or `AFTA_CAMPAIGN_JOBS`), `--json` (emit the
+//! merged campaign report as JSON instead of the table).
 
 use std::thread;
 use std::time::Instant;
 
-use afta_bench::{arg_u64, arg_usize, has_flag};
+use afta_bench::{arg, arg_seed, has_flag};
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 
 fn main() {
-    let steps = arg_u64("--steps", 65_000_000);
-    let shards = arg_usize("--shards", 64).max(1);
-    let seed = arg_u64("--seed", 42);
+    let steps = arg::<u64>("--steps", 65_000_000);
+    let shards = arg::<usize>("--shards", 64).max(1);
+    let seed = arg_seed(42);
     let default_jobs =
         jobs_from_env(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    let jobs = arg_usize("--jobs", default_jobs).max(1);
+    let jobs = arg::<usize>("--jobs", default_jobs).max(1);
 
     // Same storm environment as fig7_histogram, scaled to the total run.
     let calm = (steps / 13).max(20_000);

@@ -7,9 +7,10 @@
 //! network and on real loopback TCP sockets.
 //!
 //! Flags: `--transport sim|tcp|both` (default both), `--seed N` (default
-//! 0xE7), `--rounds N` (default 40), `--voters N` (default 9),
-//! `--replicas N` (default 3), `--shards K` (default 4), `--jobs N`
-//! (default: available parallelism, or `AFTA_CAMPAIGN_JOBS`), `--json`.
+//! `AFTA_SEED`, else 0xE7), `--rounds N` (default 40), `--voters N`
+//! (default 9), `--replicas N` (default 3), `--shards K` (default 4),
+//! `--jobs N` (default: available parallelism, or `AFTA_CAMPAIGN_JOBS`),
+//! `--json`.
 //!
 //! Exits non-zero when `both` finds a divergence — this is the CI-facing
 //! form of the `crates/net/tests/differential.rs` assertion.
@@ -18,7 +19,7 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::Instant;
 
-use afta_bench::{arg_str, arg_u64, arg_usize, has_flag};
+use afta_bench::{arg, arg_seed, arg_str, has_flag};
 use afta_campaign::jobs_from_env;
 use afta_net::experiment::{
     run_net_campaign, NetExperimentConfig, NetExperimentReport, TransportKind,
@@ -26,10 +27,10 @@ use afta_net::experiment::{
 
 fn base_config() -> NetExperimentConfig {
     NetExperimentConfig {
-        seed: arg_u64("--seed", 0xE7),
-        rounds: arg_u64("--rounds", 40),
-        voters: arg_usize("--voters", 9).max(1),
-        initial_replicas: arg_usize("--replicas", 3).max(1),
+        seed: arg_seed(0xE7),
+        rounds: arg::<u64>("--rounds", 40),
+        voters: arg::<usize>("--voters", 9).max(1),
+        initial_replicas: arg::<usize>("--replicas", 3).max(1),
         ..NetExperimentConfig::default()
     }
 }
@@ -89,10 +90,10 @@ fn to_json(reports: &[NetExperimentReport]) -> String {
 
 fn main() -> ExitCode {
     let transport = arg_str("--transport", "both");
-    let shards = arg_usize("--shards", 4).max(1);
+    let shards = arg::<usize>("--shards", 4).max(1);
     let default_jobs =
         jobs_from_env(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    let jobs = arg_usize("--jobs", default_jobs).max(1);
+    let jobs = arg::<usize>("--jobs", default_jobs).max(1);
 
     match transport.as_str() {
         "sim" | "tcp" => {

@@ -6,15 +6,15 @@
 //! Flags: `--rounds N` (default 15), `--period N` (default 10),
 //! `--onset N` (fault onset tick, default 45).
 
-use afta_bench::arg_u64;
+use afta_bench::arg;
 use afta_ftpatterns::fig4_scenario_observed;
 use afta_sim::Tick;
 use afta_telemetry::Registry;
 
 fn main() {
-    let rounds = arg_u64("--rounds", 15);
-    let period = arg_u64("--period", 10);
-    let onset = arg_u64("--onset", 45);
+    let rounds = arg::<u64>("--rounds", 15);
+    let period = arg::<u64>("--period", 10);
+    let onset = arg::<u64>("--onset", 45);
 
     println!("watchdog period {period}, permanent fault injected at t={onset}, threshold 3.0\n");
     println!(

@@ -7,7 +7,7 @@
 //! 4), `--jobs N` (campaign worker threads, default 1 or
 //! `AFTA_CAMPAIGN_JOBS`).
 
-use afta_bench::{arg_f64, arg_u64, arg_usize};
+use afta_bench::arg;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
@@ -46,10 +46,10 @@ fn main() {
     // the dtof distribution under memoryless fault injection, as a
     // parallel deterministic campaign.  The merged `voting.dtof`
     // histogram is bit-identical for every --jobs value.
-    let steps = arg_u64("--steps", 200_000);
-    let p = arg_f64("--p", 0.05);
-    let shards = arg_usize("--shards", 4).max(1);
-    let jobs = arg_usize("--jobs", jobs_from_env(1)).max(1);
+    let steps = arg::<u64>("--steps", 200_000);
+    let p = arg::<f64>("--p", 0.05);
+    let shards = arg::<usize>("--shards", 4).max(1);
+    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
     let base = ExperimentConfig {
         steps,
         seed: 42,

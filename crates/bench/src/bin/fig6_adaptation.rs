@@ -5,14 +5,14 @@
 //! Prints the adaptation time series plus an ASCII strip chart of the
 //! redundancy level across the calm -> storm -> calm environment.
 //!
-//! Flags: `--steps N` (default 30000), `--seed N` (default 42),
-//! `--json` (emit the trace + report as JSON instead of the chart),
+//! Flags: `--steps N` (default 30000), `--seed N` (default `AFTA_SEED`,
+//! else 42), `--json` (emit the trace + report as JSON instead of the chart),
 //! `--seeds K` (default 1; with K > 1 the run becomes a cross-seed
 //! replication campaign — K derived seeds, same environment — and a
 //! cross-seed summary is appended), `--jobs N` (campaign worker
 //! threads, default 1 or `AFTA_CAMPAIGN_JOBS`).
 
-use afta_bench::{arg_u64, arg_usize};
+use afta_bench::{arg, arg_seed};
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::{EnvironmentProfile, Phase};
 use afta_sim::stats::Summary;
@@ -21,10 +21,10 @@ use afta_switchboard::{run_experiment_observed, ExperimentConfig, RedundancyPoli
 use afta_telemetry::Registry;
 
 fn main() {
-    let steps = arg_u64("--steps", 30_000);
-    let seed = arg_u64("--seed", 42);
-    let seeds = arg_usize("--seeds", 1).max(1);
-    let jobs = arg_usize("--jobs", jobs_from_env(1)).max(1);
+    let steps = arg::<u64>("--steps", 30_000);
+    let seed = arg_seed(42);
+    let seeds = arg::<usize>("--seeds", 1).max(1);
+    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
     let storm_start = steps / 4;
     let storm_len = steps / 10;
 

@@ -12,24 +12,25 @@
 //! prints the measured speedup (which scales with physical cores).
 //!
 //! Flags: `--steps N` (default 1_000_000; pass 65_000_000 for the paper's
-//! full run — use `--release`), `--seed N` (default 42), `--shards K`
-//! (default 8), `--jobs N` (default 1, or `AFTA_CAMPAIGN_JOBS`),
+//! full run — use `--release`), `--seed N` (default `AFTA_SEED`, else
+//! 42), `--shards K` (default 8), `--jobs N` (default 1, or
+//! `AFTA_CAMPAIGN_JOBS`),
 //! `--json` (emit the full merged campaign report as JSON on stdout
 //! instead of the table), `--telemetry-json` (emit the merged telemetry
 //! report as JSON instead of the human-readable rendering).
 
 use std::time::Instant;
 
-use afta_bench::{arg_u64, arg_usize, has_flag};
+use afta_bench::{arg, arg_seed, has_flag};
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 
 fn main() {
-    let steps = arg_u64("--steps", 1_000_000);
-    let seed = arg_u64("--seed", 42);
-    let shards = arg_usize("--shards", 8).max(1);
-    let jobs = arg_usize("--jobs", jobs_from_env(1)).max(1);
+    let steps = arg::<u64>("--steps", 1_000_000);
+    let seed = arg_seed(42);
+    let shards = arg::<usize>("--shards", 8).max(1);
+    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
 
     // Rare, short disturbance storms over a long calm background — the
     // §3.3 "heavy and diversified fault injection" environment whose

@@ -2,14 +2,15 @@
 //! permanent faults; static reconfiguration (`e2`) wastes spares under
 //! transient faults; the adaptive alpha-count manager avoids both.
 //!
-//! Flags: `--rounds N` (default 1000), `--seed N` (default 42).
+//! Flags: `--rounds N` (default 1000), `--seed N` (default `AFTA_SEED`,
+//! else 42).
 
-use afta_bench::arg_u64;
+use afta_bench::{arg, arg_seed};
 use afta_ftpatterns::{run_clash_table, ScenarioConfig};
 
 fn main() {
-    let rounds = arg_u64("--rounds", 1000);
-    let seed = arg_u64("--seed", 42);
+    let rounds = arg::<u64>("--rounds", 1000);
+    let seed = arg_seed(42);
     let config = ScenarioConfig {
         rounds,
         seed,

@@ -6,7 +6,7 @@
 //!
 //! Flags: `--passes N` (workload read passes, default 20).
 
-use afta_bench::arg_u64;
+use afta_bench::arg;
 use afta_memaccess::{
     configure, run_workload, FailureKnowledgeBase, FailureRecord, MethodKind, WorkloadConfig,
 };
@@ -27,7 +27,7 @@ fn workload_errors(kind: MethodKind, rates: FaultRates, passes: u64, seed: u64) 
 }
 
 fn main() {
-    let passes = arg_u64("--passes", 20);
+    let passes = arg::<u64>("--passes", 20);
     let mut kb = FailureKnowledgeBase::new();
     for class in BehaviorClass::ALL {
         kb.insert_model(

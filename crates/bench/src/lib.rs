@@ -20,39 +20,60 @@
 
 #![forbid(unsafe_code)]
 
-/// Parses a `--flag value` style u64 argument from the command line,
-/// returning `default` when absent or malformed.
-#[must_use]
-pub fn arg_u64(flag: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+use std::str::FromStr;
+
+use afta_sim::parse_seed;
+
+/// The value after `flag` in `args`, read by `parse`: `Ok(None)` when the
+/// flag is absent, and an error naming the flag when no value follows it
+/// or the value does not parse.
+fn find_arg<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| format!("{flag}: {value:?} does not parse"))
 }
 
-/// Parses a `--flag value` style usize argument from the command line,
-/// returning `default` when absent or malformed.
-#[must_use]
-pub fn arg_usize(flag: &str, default: usize) -> usize {
+/// [`find_arg`] on this process's command line; a refused flag exits 2
+/// with the error.
+fn command_line_arg<T>(flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    find_arg(&args, flag, parse).unwrap_or_else(|refusal| {
+        eprintln!("{}: {refusal}", args[0]);
+        std::process::exit(2)
+    })
 }
 
-/// Parses a `--flag value` style f64 argument from the command line,
-/// returning `default` when absent or malformed.
+/// Parses a `--flag value` style argument from the command line,
+/// returning `default` when the flag is absent.  A flag without a value,
+/// or a value that does not parse as a `T`, exits 2 naming the flag.
 #[must_use]
-pub fn arg_f64(flag: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+pub fn arg<T: FromStr>(flag: &str, default: T) -> T {
+    command_line_arg(flag, |value| value.parse().ok()).unwrap_or(default)
+}
+
+/// The run's seed: `--seed`, then the `AFTA_SEED` environment variable,
+/// then `default`, each read by [`parse_seed`] (decimal or `0x`-hex).  A
+/// malformed `--seed` exits 2 as [`arg`] does; an unset or malformed
+/// `AFTA_SEED` gives `default`.
+#[must_use]
+pub fn arg_seed(default: u64) -> u64 {
+    command_line_arg("--seed", parse_seed)
+        .or_else(|| {
+            std::env::var("AFTA_SEED")
+                .ok()
+                .as_deref()
+                .and_then(parse_seed)
+        })
         .unwrap_or(default)
 }
 
@@ -79,14 +100,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arg_u64_defaults_when_missing() {
-        assert_eq!(arg_u64("--definitely-not-passed", 42), 42);
+    fn arg_defaults_when_missing() {
+        assert_eq!(arg("--definitely-not-passed", 42_u64), 42);
+        assert_eq!(arg("--definitely-not-passed", 7_usize), 7);
+        assert!((arg("--definitely-not-passed", 0.25_f64) - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn arg_usize_and_f64_default_when_missing() {
-        assert_eq!(arg_usize("--definitely-not-passed", 7), 7);
-        assert!((arg_f64("--definitely-not-passed", 0.25) - 0.25).abs() < 1e-12);
+    fn find_arg_refuses_a_missing_or_malformed_value_by_name() {
+        let args: Vec<String> = ["bin", "--steps", "400000", "--seed", "seven", "--p"]
+            .map(String::from)
+            .into();
+        let number = |v: &str| v.parse::<u64>().ok();
+        assert_eq!(find_arg(&args, "--steps", number), Ok(Some(400_000)));
+        assert_eq!(find_arg(&args, "--jobs", number), Ok(None));
+        let refusal = find_arg(&args, "--seed", parse_seed).unwrap_err();
+        assert!(
+            refusal.contains("--seed") && refusal.contains("seven"),
+            "{refusal}"
+        );
+        assert_eq!(
+            find_arg(&args, "--p", |v| v.parse::<f64>().ok()),
+            Err("--p needs a value".into())
+        );
+        // A hex seed reads as one.
+        let hex: Vec<String> = ["bin", "--seed", "0x07"].map(String::from).into();
+        assert_eq!(find_arg(&hex, "--seed", parse_seed), Ok(Some(7)));
     }
 
     #[test]

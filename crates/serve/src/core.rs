@@ -675,28 +675,14 @@ mod tests {
         assert_eq!(sent, want);
     }
 
-    /// Frames `replies` as the socket carries them, one
-    /// `(address, messages)` entry per run of replies to one address.
-    fn framed_runs(replies: &[Outbound]) -> Vec<(ClientAddr, Vec<u8>)> {
-        let mut runs: Vec<(ClientAddr, Vec<u8>)> = Vec::new();
+    /// Frames `replies` as the socket carries them: each address's
+    /// replies back to back, in order.
+    fn framed_by_address(replies: &[Outbound]) -> BTreeMap<ClientAddr, Vec<u8>> {
+        let mut framed = BTreeMap::<ClientAddr, Vec<u8>>::new();
         for (addr, frame) in replies {
-            match runs.last_mut() {
-                Some((last, bytes)) if last == addr => write_framed(bytes, frame),
-                _ => {
-                    let mut bytes = Vec::new();
-                    write_framed(&mut bytes, frame);
-                    runs.push((*addr, bytes));
-                }
-            }
+            write_framed(framed.entry(*addr).or_default(), frame);
         }
-        runs
-    }
-
-    fn outbox_runs(outbox: &Outbox) -> Vec<(ClientAddr, Vec<u8>)> {
-        outbox
-            .runs()
-            .map(|(addr, bytes)| (addr, bytes.to_vec()))
-            .collect()
+        framed
     }
 
     #[test]
@@ -751,25 +737,24 @@ mod tests {
             .collect();
         let want: Vec<u64> = (1..=3).flat_map(|round| [round; 5]).collect();
         assert_eq!(rounds, want, "three rounds, each to five streams");
-        let runs = framed_runs(&replies);
-        assert!(runs.len() < replies.len(), "some replies share a run");
-        assert_eq!(outbox_runs(&outbox), runs);
+        assert_eq!(outbox.0.len(), 3, "one buffer per address");
+        assert_eq!(outbox.0, framed_by_address(&replies));
     }
 
     #[test]
-    fn two_pumps_for_one_address_append_as_one_run() {
-        // Tenants 1 and 2 answer address 7, tenant 3 address 8.
-        let tenants = [(1, 7), (2, 7), (3, 8)];
+    fn an_append_extends_known_connections_and_moves_new_ones() {
+        // Tenant 1 answers connections 7 and 8, tenant 2 those and 9.
+        let tenants: [(u16, &[u64]); 2] = [(1, &[7, 8]), (2, &[8, 9, 7])];
         let mut cores = [core(), core()];
         for c in &mut cores {
-            for (tenant, addr) in tenants {
-                register(c, tenant, 1, 0);
-                for value in [1, 2] {
+            for (tenant, addrs) in tenants {
+                register(c, tenant, 3, 0);
+                for (stream, &addr) in (0..).zip(addrs) {
                     let observe = Request::Observe {
                         key: "ballot".into(),
-                        value,
+                        value: 1,
                     };
-                    let frame = Frame::request(TenantId(tenant), 0, observe).encode();
+                    let frame = Frame::request(TenantId(tenant), stream, observe).encode();
                     assert!(matches!(
                         c.enqueue(ClientAddr(addr), &frame),
                         Enqueued::Queued(_)
@@ -779,18 +764,27 @@ mod tests {
         }
         let [mut listed, mut framed] = cores;
         let mut replies = Vec::new();
-        let mut outbox = Outbox::default();
+        let mut shared = Outbox::default();
         for (tenant, _) in tenants {
             replies.extend(listed.pump(TenantId(tenant)));
             let mut own = Outbox::default();
             framed.pump_into(TenantId(tenant), &mut own);
-            outbox.append(own);
-            if tenant == 2 {
-                let runs = outbox_runs(&outbox).len();
-                assert_eq!(runs, 1, "the reactor moves only a lone run");
+            // Every buffer of the first pump, and connection 9's of the
+            // second, lands in the shared outbox as it is.
+            let moved: Vec<_> = own
+                .0
+                .iter()
+                .filter(|(addr, _)| !shared.0.contains_key(addr))
+                .map(|(&addr, bytes)| (addr, bytes.as_ptr()))
+                .collect();
+            assert_eq!(moved.len(), if tenant == 1 { 2 } else { 1 });
+            shared.append(own);
+            for (addr, buffer) in moved {
+                assert_eq!(shared.0[&addr].as_ptr(), buffer, "{addr:?} is moved");
             }
         }
-        assert_eq!(outbox_runs(&outbox), framed_runs(&replies));
+        // Connections 7 and 8 hold tenant 1's reply, then tenant 2's.
+        assert_eq!(shared.0, framed_by_address(&replies));
     }
 
     #[test]

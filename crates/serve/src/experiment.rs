@@ -55,9 +55,6 @@ pub struct ServeExperimentConfig {
     /// Which leg carries the traffic: `Sim` calls the [`ServerCore`] in
     /// process, `Tcp` goes through the [`Reactor`].
     pub transport: TransportKind,
-    /// Per-tenant mailbox capacity requested at registration (0 = the
-    /// server default).
-    pub mailbox_cap: usize,
 }
 
 impl Default for ServeExperimentConfig {
@@ -68,7 +65,6 @@ impl Default for ServeExperimentConfig {
             clients: 16,
             rounds: 12,
             transport: TransportKind::Sim,
-            mailbox_cap: 0,
         }
     }
 }
@@ -282,7 +278,8 @@ fn drive(link: &mut impl ClientLink, config: &ServeExperimentConfig) -> Vec<Tena
                 0,
                 Request::RegisterTenant {
                     expected_clients: config.clients,
-                    mailbox_cap: config.mailbox_cap,
+                    // The server's `default_mailbox_cap`.
+                    mailbox_cap: 0,
                     ballot_min: E8_BALLOT_MIN,
                     ballot_max: E8_BALLOT_MAX,
                 },

@@ -52,18 +52,22 @@ impl<'a> Flags<'a> {
     ///
     /// # Errors
     ///
-    /// A flag that is not in `known`, or one with no value after it.
+    /// A flag that is not in `known`, one with no value after it, or one
+    /// given twice.
     fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
+        let mut flags = Flags(Vec::new());
         let mut args = args.iter().map(String::as_str);
         while let Some(flag) = args.next() {
             if !known.contains(&flag) {
                 return Err(format!("unknown flag {flag:?}"));
             }
             let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            pairs.push((flag, value));
+            if flags.get(flag).is_some() {
+                return Err(format!("{flag} is given twice"));
+            }
+            flags.0.push((flag, value));
         }
-        Ok(Flags(pairs))
+        Ok(flags)
     }
 
     /// The value after `name`, if it was given.

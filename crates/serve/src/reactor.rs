@@ -24,23 +24,21 @@
 //! workers and the reactor's own inline admissions alike append their
 //! replies to one outbox while they hold the core lock, so the outbox
 //! keeps the order in which the core made them.  The outbox holds the
-//! replies framed for the socket: `[len][frame]` messages back to back
-//! in one buffer, and the address and start of each run of messages to
-//! one connection.  A worker pumps into an outbox of its own, which
-//! frames each reply in place with no buffer per reply, and appends it
-//! to the shared one before it releases the core lock: a move when the
-//! shared one is empty, and a first run addressed like the last one
-//! there extends that run.  The reactor takes the whole outbox each
-//! pass.  When one run covers it and that connection has nothing
-//! unsent, the outbox's buffer becomes the connection's write buffer,
-//! with no copy; otherwise each run is copied once, onto the end of its
-//! connection's write buffer.  No outbox buffer is kept from one pass
-//! to the next.  A connection therefore reads its replies in request
-//! order even when an `Evict` from another connection answers the
-//! requests its tenant still had queued.  What the core answers at
-//! admission (a control request, a rejection) is the exception: it can
-//! overtake the answers to the connection's own requests still waiting
-//! in a mailbox.
+//! replies framed for the socket: one buffer per connection, of
+//! `[len][frame]` messages back to back.  A worker pumps into an outbox
+//! of its own, which frames each reply in place with no buffer per
+//! reply, and appends it to the shared one before it releases the core
+//! lock: a move when the shared one is empty, and otherwise each
+//! connection's buffer is moved in or extends the one already there.
+//! The reactor takes the whole outbox each pass.  A connection with
+//! nothing unsent takes its buffer as its write buffer, with no copy;
+//! one with unsent bytes gets a copy of it after them.  No outbox
+//! buffer is kept from one pass to the next.  A connection therefore
+//! reads its replies in request order even when an `Evict` from
+//! another connection answers the requests its tenant still had
+//! queued.  What the core answers at admission (a control request, a
+//! rejection) is the exception: it can overtake the answers to the
+//! connection's own requests still waiting in a mailbox.
 //!
 //! `poll` watches the listener, every connection and a *waker*, one end
 //! of a socket pair.  A connection asks for `POLLOUT` only while it has
@@ -142,78 +140,54 @@ struct Conn {
     written: usize,
 }
 
-/// Replies framed for the socket, in the order the core made them:
-/// `[len][frame]` messages back to back in one buffer, and where each
-/// run of messages to one connection starts (see the module docs).
+/// Replies framed for the socket: one buffer per connection, holding its
+/// `[len][frame]` messages back to back in the order the core made them
+/// (see the module docs).
 #[derive(Default)]
-pub(crate) struct Outbox {
-    bytes: Vec<u8>,
-    /// `(address, start in bytes)` of each run, in order; no two
-    /// adjacent runs share an address.
-    starts: Vec<(ClientAddr, usize)>,
-}
+pub(crate) struct Outbox(pub(crate) BTreeMap<ClientAddr, Vec<u8>>);
 
 impl Outbox {
     fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.0.is_empty()
     }
 
-    /// Opens a run to `addr` at `start` unless the last run goes there.
-    fn open(&mut self, addr: ClientAddr, start: usize) {
-        if self.starts.last().map(|&(last, _)| last) != Some(addr) {
-            self.starts.push((addr, start));
-        }
-    }
-
-    /// Adds `frame`, one encoded frame, as a message to `addr`.
-    fn push(&mut self, addr: ClientAddr, frame: &[u8]) {
-        self.open(addr, self.bytes.len());
-        write_framed(&mut self.bytes, frame);
+    /// The buffer of the messages to `addr`.
+    fn to(&mut self, addr: ClientAddr) -> &mut Vec<u8> {
+        self.0.entry(addr).or_default()
     }
 
     /// Appends `other`'s messages after these: a move when this outbox
-    /// is empty.  A first run of `other`'s addressed like the last run
-    /// here extends that run.
+    /// is empty, and otherwise each of `other`'s buffers is [`put`]
+    /// after this outbox's bytes to its connection.
     pub(crate) fn append(&mut self, other: Outbox) {
         if self.is_empty() {
             *self = other;
             return;
         }
-        let offset = self.bytes.len();
-        for (addr, start) in other.starts {
-            self.open(addr, offset + start);
+        for (addr, bytes) in other.0 {
+            put(self.to(addr), bytes);
         }
-        self.bytes.extend_from_slice(&other.bytes);
     }
 
-    /// Each run's address and messages, in order.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (ClientAddr, &[u8])> {
-        let ends = self.starts.iter().skip(1).map(|&(_, start)| start);
-        self.starts
-            .iter()
-            .zip(ends.chain([self.bytes.len()]))
-            .map(|(&(addr, start), end)| (addr, &self.bytes[start..end]))
-    }
-
-    /// Hands every run to its connection's write buffer, in order.  A
-    /// lone run to a connection with nothing unsent becomes its write
-    /// buffer, with no copy; otherwise each run is copied once.  Runs to
-    /// a connection that closed meanwhile are dropped, like any send on
-    /// a broken link.
+    /// Hands each buffer to its connection, [`put`] after its unsent
+    /// bytes.  Bytes to a connection that closed meanwhile are dropped,
+    /// like any send on a broken link.
     fn deliver(self, conns: &mut HashMap<u64, Conn>) {
-        if let [(addr, _)] = self.starts[..] {
+        for (addr, bytes) in self.0 {
             if let Some(conn) = conns.get_mut(&addr.0) {
-                if conn.write_buf.is_empty() {
-                    conn.write_buf = self.bytes;
-                    return;
-                }
+                put(&mut conn.write_buf, bytes);
             }
         }
-        for (addr, messages) in self.runs() {
-            if let Some(conn) = conns.get_mut(&addr.0) {
-                conn.write_buf.extend_from_slice(messages);
-            }
-        }
+    }
+}
+
+/// Puts `bytes` after `buffer`'s: as `buffer` itself, with no copy, when
+/// that holds nothing, and otherwise as a copy.
+fn put(buffer: &mut Vec<u8>, bytes: Vec<u8>) {
+    if buffer.is_empty() {
+        *buffer = bytes;
+    } else {
+        buffer.extend_from_slice(&bytes);
     }
 }
 
@@ -221,15 +195,15 @@ impl Outbox {
 /// encoding, with no buffer per reply.
 impl Replies for Outbox {
     fn reply(&mut self, addr: ClientAddr, frame: &Frame) {
-        self.open(addr, self.bytes.len());
-        encode_framed(&mut self.bytes, frame);
+        encode_framed(self.to(addr), frame);
     }
 
     fn fan_out(&mut self, round: &[u8], clients: &BTreeMap<u32, ClientAddr>) {
         for (&stream, &addr) in clients {
-            self.push(addr, round);
-            let copy = self.bytes.len() - round.len();
-            Frame::restream(&mut self.bytes[copy..], stream);
+            let bytes = self.to(addr);
+            write_framed(bytes, round);
+            let copy = bytes.len() - round.len();
+            Frame::restream(&mut bytes[copy..], stream);
         }
     }
 }
@@ -239,7 +213,7 @@ impl From<Vec<Outbound>> for Outbox {
     fn from(replies: Vec<Outbound>) -> Self {
         let mut outbox = Outbox::default();
         for (addr, frame) in replies {
-            outbox.push(addr, &frame);
+            write_framed(outbox.to(addr), &frame);
         }
         outbox
     }
@@ -248,10 +222,11 @@ impl From<Vec<Outbound>> for Outbox {
 /// Shared between the reactor thread, the workers, and the handle.
 struct Shared {
     core: Mutex<ServerCore>,
-    /// Every reply in the order the core made it, framed for the
-    /// socket: appended by [`Shared::post`] and taken whole by the
-    /// reactor each pass, which hands it to the connections (a move
-    /// when one run covers it) and keeps no part of it.
+    /// Every reply framed for the socket, one buffer per connection in
+    /// the order the core made them: appended by [`Shared::post`] and
+    /// taken whole by the reactor each pass, which hands each buffer to
+    /// its connection (a move when that has nothing unsent) and keeps
+    /// no part of it.
     outbox: Mutex<Outbox>,
     stop: AtomicBool,
     /// The waker pair: [`Shared::wake`] writes to `wake_tx`, the
@@ -704,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn deliver_moves_a_lone_run_to_an_idle_connection_and_copies_the_rest() {
+    fn deliver_moves_bytes_to_idle_connections_and_copies_them_behind_unsent_ones() {
         let messages = |frames: &[u8]| {
             let mut out = Vec::new();
             for &n in frames {
@@ -712,27 +687,40 @@ mod tests {
             }
             out
         };
-        let outbox = |runs: &[(u64, u8)]| {
+        let outbox = |replies: &[(u64, u8)]| {
             let mut outbox = Outbox::default();
-            for &(addr, n) in runs {
-                outbox.push(ClientAddr(addr), &[n; 9]);
+            for &(addr, n) in replies {
+                write_framed(outbox.to(ClientAddr(addr)), &[n; 9]);
             }
             outbox
+        };
+        // Delivers `outbox`, then checks that each of `idle` took its
+        // buffer as it was.
+        let deliver = |outbox: Outbox, idle: &[u64], conns: &mut HashMap<u64, Conn>| {
+            let buffers: Vec<_> = idle
+                .iter()
+                .map(|&id| outbox.0[&ClientAddr(id)].as_ptr())
+                .collect();
+            outbox.deliver(conns);
+            for (id, buffer) in idle.iter().zip(buffers) {
+                assert_eq!(
+                    conns[id].write_buf.as_ptr(),
+                    buffer,
+                    "connection {id}'s bytes are moved"
+                );
+            }
         };
         let ((a, _a), (b, _b)) = (conn(), conn());
         let mut conns = HashMap::from([(1, a), (2, b)]);
 
-        // One run to a connection with nothing unsent: its buffer moves.
-        let lone = outbox(&[(1, 1), (1, 2)]);
-        let buffer = lone.bytes.as_ptr();
-        lone.deliver(&mut conns);
-        assert_eq!(conns[&1].write_buf.as_ptr(), buffer, "a lone run is moved");
-        // One run behind unsent bytes, then three runs, one of them to a
-        // connection that is gone: each run is copied, in order.
-        outbox(&[(1, 3)]).deliver(&mut conns);
-        outbox(&[(2, 4), (3, 5), (2, 6), (1, 7)]).deliver(&mut conns);
-        assert_eq!(conns[&1].write_buf, messages(&[1, 2, 3, 7]));
-        assert_eq!(conns[&2].write_buf, messages(&[4, 6]));
+        // Neither connection has anything unsent.
+        deliver(outbox(&[(1, 1), (2, 2), (1, 3)]), &[1, 2], &mut conns);
+        // Connection 2 has sent all it had; connection 1 has not, and
+        // gets a copy after its unsent bytes.  Connection 3 is gone.
+        conns.get_mut(&2).unwrap().write_buf.clear();
+        deliver(outbox(&[(2, 4), (3, 5), (1, 6), (2, 7)]), &[2], &mut conns);
+        assert_eq!(conns[&1].write_buf, messages(&[1, 3, 6]));
+        assert_eq!(conns[&2].write_buf, messages(&[4, 7]));
     }
 
     fn register_tenant_1(client: &mut TcpClient) {

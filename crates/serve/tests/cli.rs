@@ -1,8 +1,8 @@
 //! End-to-end tests of the `afta-serve` command line: each subcommand
-//! refuses an unknown flag, a flag without a value, a value that does
-//! not parse and a zero count of tenants or clients, exiting 2 with a
-//! message that names the flag before it binds or runs anything, and
-//! every flag it took before still runs.
+//! refuses an unknown flag, a flag without a value, a flag given twice,
+//! a value that does not parse and a zero count of tenants or clients,
+//! exiting 2 with a message that names the flag before it binds or runs
+//! anything, and every flag it took before still runs.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -74,6 +74,13 @@ fn each_subcommand_refuses_what_it_cannot_parse() {
         ),
         (&["e8", "--clients", "0"], "--clients"),
         (&["e8", "--tenants", "0"], "--tenants"),
+        // A flag given twice, even with the same value.
+        (&["serve", "--workers", "2", "--workers", "2"], "--workers"),
+        (&["e8", "--rounds", "1", "--rounds", "3"], "--rounds"),
+        (
+            &["soak", "--frames", "1", "--tenants", "2", "--frames", "8"],
+            "--frames",
+        ),
     ];
     for &(args, flag) in cases {
         let out = run(args);
