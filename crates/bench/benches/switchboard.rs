@@ -1,9 +1,15 @@
 //! B7: §3.3 round throughput — the full voting-round + dtof + controller
 //! pipeline the 65M-step experiment iterates, and the experiment driver
-//! end to end.
+//! end to end, with telemetry off (`run_experiment`) and on
+//! (`run_experiment_observed` on a fresh registry per run, as the
+//! campaign runner gives each shard one).
 
 use afta_faultinject::EnvironmentProfile;
-use afta_switchboard::{run_experiment, ExperimentConfig, RedundancyController, RedundancyPolicy};
+use afta_switchboard::{
+    run_experiment, run_experiment_observed, ExperimentConfig, RedundancyController,
+    RedundancyPolicy,
+};
+use afta_telemetry::Registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_switchboard(c: &mut Criterion) {
@@ -14,15 +20,19 @@ fn bench_switchboard(c: &mut Criterion) {
         b.iter(|| black_box(ctl.observe(black_box(2), black_box(3))));
     });
 
+    let config = ExperimentConfig {
+        steps: 10_000,
+        seed: 42,
+        profile: EnvironmentProfile::cyclic_storms(2_000, 200, 0.0001, 0.05),
+        policy: RedundancyPolicy::default(),
+        trace_stride: 0,
+    };
     g.bench_function("experiment_10k_steps", |b| {
-        let config = ExperimentConfig {
-            steps: 10_000,
-            seed: 42,
-            profile: EnvironmentProfile::cyclic_storms(2_000, 200, 0.0001, 0.05),
-            policy: RedundancyPolicy::default(),
-            trace_stride: 0,
-        };
         b.iter(|| black_box(run_experiment(&config, None)));
+    });
+
+    g.bench_function("experiment_10k_steps_observed", |b| {
+        b.iter(|| black_box(run_experiment_observed(&config, None, &Registry::new())));
     });
 
     g.finish();

@@ -11,11 +11,12 @@
 //! * **false positive** — whether a *transient-only* workload ever gets
 //!   convicted.
 //!
-//! Flags: `--rounds N` (default 2000).
+//! Flags: `--rounds N` (default 2000).  Any other flag, or one given
+//! twice, exits 2.
 
 use afta_alphacount::windowed::WindowedCount;
 use afta_alphacount::{AlphaCount, DecayPolicy, Judgment, Verdict};
-use afta_bench::arg;
+use afta_bench::Flags;
 
 /// A fault pattern: does round `i` (0-based, counted from onset) err?
 #[derive(Clone, Copy)]
@@ -69,7 +70,7 @@ fn fmt_latency(l: Option<u64>) -> String {
 }
 
 fn main() {
-    let rounds = arg::<u64>("--rounds", 2_000);
+    let rounds = Flags::from_env(&["--rounds N"]).num::<u64>("--rounds", 2_000);
 
     println!("alpha-count decay sweep, threshold 3.0, {rounds} rounds per cell\n");
     println!(

@@ -7,14 +7,15 @@
 //! control churn (adaptations), under a storm-heavy environment.
 //!
 //! Flags: `--steps N` (default 200000), `--seed N` (default
-//! `AFTA_SEED`, else 42).
+//! `AFTA_SEED`, else 42).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::{arg, arg_seed};
+use afta_bench::Flags;
 use afta_switchboard::{ablation_base, sweep_lower_after, sweep_raise_threshold};
 
 fn main() {
-    let steps = arg::<u64>("--steps", 200_000);
-    let seed = arg_seed(42);
+    let flags = Flags::from_env(&["--steps N", "--seed N"]);
+    let steps = flags.num::<u64>("--steps", 200_000);
+    let seed = flags.seed(42);
     let base = ablation_base(steps, seed);
 
     println!("environment: cyclic storms (8k calm / 600 @ p=0.08), {steps} steps, seed {seed}\n");

@@ -11,23 +11,25 @@
 //! Flags: `--steps N` (default 65_000_000), `--shards K` (default 64),
 //! `--seed N` (default `AFTA_SEED`, else 42), `--jobs N` (default:
 //! available parallelism, or `AFTA_CAMPAIGN_JOBS`), `--json` (emit the
-//! merged campaign report as JSON instead of the table).
+//! merged campaign report as JSON instead of the table).  Any other
+//! flag, or one given twice, exits 2.
 
 use std::thread;
 use std::time::Instant;
 
-use afta_bench::{arg, arg_seed, has_flag};
+use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 
 fn main() {
-    let steps = arg::<u64>("--steps", 65_000_000);
-    let shards = arg::<usize>("--shards", 64).max(1);
-    let seed = arg_seed(42);
+    let flags = Flags::from_env(&["--steps N", "--shards K", "--seed N", "--jobs N", "--json"]);
+    let steps = flags.num::<u64>("--steps", 65_000_000);
+    let shards = flags.num::<usize>("--shards", 64).max(1);
+    let seed = flags.seed(42);
     let default_jobs =
         jobs_from_env(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    let jobs = arg::<usize>("--jobs", default_jobs).max(1);
+    let jobs = flags.num::<usize>("--jobs", default_jobs).max(1);
 
     // Same storm environment as fig7_histogram, scaled to the total run.
     let calm = (steps / 13).max(20_000);
@@ -47,7 +49,7 @@ fn main() {
         .expect("campaign shards must not panic");
     let elapsed = started.elapsed();
 
-    if has_flag("--json") {
+    if flags.has("--json") {
         println!("{}", report.to_json());
         return;
     }

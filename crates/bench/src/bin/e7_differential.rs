@@ -10,7 +10,7 @@
 //! `AFTA_SEED`, else 0xE7), `--rounds N` (default 40), `--voters N`
 //! (default 9), `--replicas N` (default 3), `--shards K` (default 4),
 //! `--jobs N` (default: available parallelism, or `AFTA_CAMPAIGN_JOBS`),
-//! `--json`.
+//! `--json`.  Any other flag, or one given twice, exits 2.
 //!
 //! Exits non-zero when `both` finds a divergence — this is the CI-facing
 //! form of the `crates/net/tests/differential.rs` assertion.
@@ -19,26 +19,21 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::Instant;
 
-use afta_bench::{arg, arg_seed, arg_str, has_flag};
+use afta_bench::Flags;
 use afta_campaign::jobs_from_env;
 use afta_net::experiment::{
     run_net_campaign, NetExperimentConfig, NetExperimentReport, TransportKind,
 };
 
-fn base_config() -> NetExperimentConfig {
-    NetExperimentConfig {
-        seed: arg_seed(0xE7),
-        rounds: arg::<u64>("--rounds", 40),
-        voters: arg::<usize>("--voters", 9).max(1),
-        initial_replicas: arg::<usize>("--replicas", 3).max(1),
-        ..NetExperimentConfig::default()
-    }
-}
-
-fn run_campaign(kind: TransportKind, shards: usize, jobs: usize) -> Vec<NetExperimentReport> {
+fn run_campaign(
+    base: &NetExperimentConfig,
+    kind: TransportKind,
+    shards: usize,
+    jobs: usize,
+) -> Vec<NetExperimentReport> {
     let config = NetExperimentConfig {
         transport: kind,
-        ..base_config()
+        ..base.clone()
     };
     let started = Instant::now();
     let reports = run_net_campaign(&config, shards, jobs).unwrap_or_else(|panics| {
@@ -89,17 +84,35 @@ fn to_json(reports: &[NetExperimentReport]) -> String {
 }
 
 fn main() -> ExitCode {
-    let transport = arg_str("--transport", "both");
-    let shards = arg::<usize>("--shards", 4).max(1);
+    let flags = Flags::from_env(&[
+        "--transport sim|tcp|both",
+        "--seed N",
+        "--rounds N",
+        "--voters N",
+        "--replicas N",
+        "--shards K",
+        "--jobs N",
+        "--json",
+    ]);
+    let base = NetExperimentConfig {
+        seed: flags.seed(0xE7),
+        rounds: flags.num::<u64>("--rounds", 40),
+        voters: flags.num::<usize>("--voters", 9).max(1),
+        initial_replicas: flags.num::<usize>("--replicas", 3).max(1),
+        ..NetExperimentConfig::default()
+    };
+    let transport = flags.text("--transport").unwrap_or("both");
+    let shards = flags.num::<usize>("--shards", 4).max(1);
     let default_jobs =
         jobs_from_env(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    let jobs = arg::<usize>("--jobs", default_jobs).max(1);
+    let jobs = flags.num::<usize>("--jobs", default_jobs).max(1);
+    let json = flags.has("--json");
 
-    match transport.as_str() {
+    match transport {
         "sim" | "tcp" => {
             let kind: TransportKind = transport.parse().expect("validated above");
-            let reports = run_campaign(kind, shards, jobs);
-            if has_flag("--json") {
+            let reports = run_campaign(&base, kind, shards, jobs);
+            if json {
                 println!("{}", to_json(&reports));
             } else {
                 summarize(kind, &reports);
@@ -107,9 +120,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "both" => {
-            let sim = run_campaign(TransportKind::Sim, shards, jobs);
-            let tcp = run_campaign(TransportKind::Tcp, shards, jobs);
-            if has_flag("--json") {
+            let sim = run_campaign(&base, TransportKind::Sim, shards, jobs);
+            let tcp = run_campaign(&base, TransportKind::Tcp, shards, jobs);
+            if json {
                 println!("{{\"sim\":{},\"tcp\":{}}}", to_json(&sim), to_json(&tcp));
             } else {
                 summarize(TransportKind::Sim, &sim);
@@ -135,7 +148,7 @@ fn main() -> ExitCode {
                 // to stderr there so the output stays machine-parsable.
                 let verdict =
                     format!("differential OK: {shards} shard(s) bit-identical across sim and tcp");
-                if has_flag("--json") {
+                if json {
                     eprintln!("{verdict}");
                 } else {
                     println!("{verdict}");

@@ -4,10 +4,14 @@
 //! and speed" — is what the §3.1 checking rules read.  This binary dumps
 //! the SPD records of the simulated machine, including the JSON form a
 //! shared failure database would key on.
+//!
+//! Takes no flags; any argument exits 2.
 
+use afta_bench::Flags;
 use afta_memsim::MachineInventory;
 
 fn main() {
+    let _ = Flags::from_env(&[]);
     let machine = MachineInventory::dell_inspiron_6000();
     println!(
         "Serial Presence Detect records ({} banks):\n",

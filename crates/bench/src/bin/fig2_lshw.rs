@@ -1,10 +1,14 @@
 //! E1 (Fig. 2): the `lshw`-style memory introspection dump for the
 //! simulated Dell Inspiron 6000 — the information the §3.1 Autoconf-like
 //! toolset reads through Serial Presence Detect.
+//!
+//! Takes no flags; any argument exits 2.
 
+use afta_bench::Flags;
 use afta_memsim::MachineInventory;
 
 fn main() {
+    let _ = Flags::from_env(&[]);
     let machine = MachineInventory::dell_inspiron_6000();
     print!("{}", machine.render_lshw());
     eprintln!(

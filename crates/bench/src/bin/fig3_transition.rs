@@ -6,7 +6,10 @@
 //!
 //! Prints both snapshots, performs the injection on a live reflective
 //! architecture, and shows the structural diff the injection applied.
+//!
+//! Takes no flags; any argument exits 2.
 
+use afta_bench::Flags;
 use afta_dag::{fig3_snapshots, ComponentGraph, ReflectiveArchitecture};
 
 fn render(graph: &ComponentGraph) -> String {
@@ -31,6 +34,7 @@ fn render(graph: &ComponentGraph) -> String {
 }
 
 fn main() {
+    let _ = Flags::from_env(&[]);
     let (d1, d2) = fig3_snapshots();
     println!("D1 — redoing scheme (assumption e1: transient faults):");
     print!("{}", render(&d1));

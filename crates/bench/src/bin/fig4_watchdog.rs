@@ -4,17 +4,19 @@
 //! labeled "permanent or intermittent".
 //!
 //! Flags: `--rounds N` (default 15), `--period N` (default 10),
-//! `--onset N` (fault onset tick, default 45).
+//! `--onset N` (fault onset tick, default 45).  Any other flag, or one
+//! given twice, exits 2.
 
-use afta_bench::arg;
+use afta_bench::Flags;
 use afta_ftpatterns::fig4_scenario_observed;
 use afta_sim::Tick;
 use afta_telemetry::Registry;
 
 fn main() {
-    let rounds = arg::<u64>("--rounds", 15);
-    let period = arg::<u64>("--period", 10);
-    let onset = arg::<u64>("--onset", 45);
+    let flags = Flags::from_env(&["--rounds N", "--period N", "--onset N"]);
+    let rounds = flags.num::<u64>("--rounds", 15);
+    let period = flags.num::<u64>("--period", 10);
+    let onset = flags.num::<u64>("--onset", 45);
 
     println!("watchdog period {period}, permanent fault injected at t={onset}, threshold 3.0\n");
     println!(

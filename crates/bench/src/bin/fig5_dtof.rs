@@ -5,15 +5,20 @@
 //! Flags: `--steps N` (default 200_000, total across shards), `--p F`
 //! (per-replica fault probability, default 0.05), `--shards K` (default
 //! 4), `--jobs N` (campaign worker threads, default 1 or
-//! `AFTA_CAMPAIGN_JOBS`).
+//! `AFTA_CAMPAIGN_JOBS`).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::arg;
+use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 use afta_voting::{dtof, dtof_max, majority_vote, VoteOutcome};
 
 fn main() {
+    let flags = Flags::from_env(&["--steps N", "--p F", "--shards K", "--jobs N"]);
+    let steps = flags.num::<u64>("--steps", 200_000);
+    let p = flags.num::<f64>("--p", 0.05);
+    let shards = flags.num::<usize>("--shards", 4).max(1);
+    let jobs = flags.num::<usize>("--jobs", jobs_from_env(1)).max(1);
     let n = 7;
     println!(
         "distance-to-failure, n = {n} replicas (dtof_max = {})\n",
@@ -46,10 +51,6 @@ fn main() {
     // the dtof distribution under memoryless fault injection, as a
     // parallel deterministic campaign.  The merged `voting.dtof`
     // histogram is bit-identical for every --jobs value.
-    let steps = arg::<u64>("--steps", 200_000);
-    let p = arg::<f64>("--p", 0.05);
-    let shards = arg::<usize>("--shards", 4).max(1);
-    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
     let base = ExperimentConfig {
         steps,
         seed: 42,

@@ -10,9 +10,10 @@
 //! `--seeds K` (default 1; with K > 1 the run becomes a cross-seed
 //! replication campaign — K derived seeds, same environment — and a
 //! cross-seed summary is appended), `--jobs N` (campaign worker
-//! threads, default 1 or `AFTA_CAMPAIGN_JOBS`).
+//! threads, default 1 or `AFTA_CAMPAIGN_JOBS`).  Any other flag, or one
+//! given twice, exits 2.
 
-use afta_bench::{arg, arg_seed};
+use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::{EnvironmentProfile, Phase};
 use afta_sim::stats::Summary;
@@ -21,10 +22,11 @@ use afta_switchboard::{run_experiment_observed, ExperimentConfig, RedundancyPoli
 use afta_telemetry::Registry;
 
 fn main() {
-    let steps = arg::<u64>("--steps", 30_000);
-    let seed = arg_seed(42);
-    let seeds = arg::<usize>("--seeds", 1).max(1);
-    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
+    let flags = Flags::from_env(&["--steps N", "--seed N", "--json", "--seeds K", "--jobs N"]);
+    let steps = flags.num::<u64>("--steps", 30_000);
+    let seed = flags.seed(42);
+    let seeds = flags.num::<usize>("--seeds", 1).max(1);
+    let jobs = flags.num::<usize>("--jobs", jobs_from_env(1)).max(1);
     let storm_start = steps / 4;
     let storm_len = steps / 10;
 
@@ -46,7 +48,7 @@ fn main() {
     let telemetry = Registry::new();
     let report = run_experiment_observed(&config, None, &telemetry);
 
-    if std::env::args().any(|a| a == "--json") {
+    if flags.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).expect("report serialises")

@@ -17,20 +17,54 @@
 //! `AFTA_CAMPAIGN_JOBS`),
 //! `--json` (emit the full merged campaign report as JSON on stdout
 //! instead of the table), `--telemetry-json` (emit the merged telemetry
-//! report as JSON instead of the human-readable rendering).
+//! report as JSON instead of the human-readable rendering).  Any other
+//! flag, or one given twice, exits 2.
+//!
+//! Exits 1 when the telemetry cross-check (the registry's counters and
+//! `switchboard.time_at_r` against the report's own figures) finds a
+//! mismatch, in every output mode, or when the serial re-run differs.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use afta_bench::{arg, arg_seed, has_flag};
-use afta_campaign::{jobs_from_env, Campaign};
+use afta_bench::Flags;
+use afta_campaign::{jobs_from_env, Campaign, CampaignReport};
 use afta_faultinject::EnvironmentProfile;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
+use afta_telemetry::TelemetryReport;
 
-fn main() {
-    let steps = arg::<u64>("--steps", 1_000_000);
-    let seed = arg_seed(42);
-    let shards = arg::<usize>("--shards", 8).max(1);
-    let jobs = arg::<usize>("--jobs", jobs_from_env(1)).max(1);
+/// Whether the telemetry mirrors the report's own bookkeeping, figure
+/// by figure: the dwell histogram, rounds, voting failures, raises and
+/// lowers.
+fn cross_check(report: &CampaignReport, telemetry: &TelemetryReport) -> bool {
+    let stats = &report.stats;
+    telemetry
+        .histogram("switchboard.time_at_r")
+        .is_some_and(|mirrored| {
+            stats
+                .histogram
+                .iter()
+                .all(|(r, count)| mirrored.bucket_count(r) == Some(count))
+        })
+        && telemetry.counter("voting.rounds") == stats.steps
+        && telemetry.counter("voting.failures") == stats.voting_failures
+        && telemetry.counter("switchboard.raises") == stats.raises
+        && telemetry.counter("switchboard.lowers") == stats.lowers
+}
+
+fn main() -> ExitCode {
+    let flags = Flags::from_env(&[
+        "--steps N",
+        "--seed N",
+        "--shards K",
+        "--jobs N",
+        "--json",
+        "--telemetry-json",
+    ]);
+    let steps = flags.num::<u64>("--steps", 1_000_000);
+    let seed = flags.seed(42);
+    let shards = flags.num::<usize>("--shards", 8).max(1);
+    let jobs = flags.num::<usize>("--jobs", jobs_from_env(1)).max(1);
 
     // Rare, short disturbance storms over a long calm background — the
     // §3.3 "heavy and diversified fault injection" environment whose
@@ -55,14 +89,22 @@ fn main() {
         .run_observed()
         .expect("campaign shards must not panic");
     let elapsed = started.elapsed();
+    let matches = cross_check(&report, &telemetry_report);
 
-    if has_flag("--json") {
-        println!("{}", report.to_json());
-        return;
-    }
-    if has_flag("--telemetry-json") {
-        println!("{}", telemetry_report.to_json());
-        return;
+    let json = if flags.has("--json") {
+        Some(report.to_json())
+    } else if flags.has("--telemetry-json") {
+        Some(telemetry_report.to_json())
+    } else {
+        None
+    };
+    if let Some(json) = json {
+        println!("{json}");
+        if matches {
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("telemetry cross-check: MISMATCH");
+        return ExitCode::FAILURE;
     }
 
     let stats = &report.stats;
@@ -97,17 +139,6 @@ fn main() {
     // Cross-check: the telemetry layer observed the same shards and must
     // agree with the merged report's own bookkeeping, figure by figure.
     println!("\n{telemetry_report}");
-    let mirrored = telemetry_report
-        .histogram("switchboard.time_at_r")
-        .expect("time_at_r mirrored");
-    let matches = stats
-        .histogram
-        .iter()
-        .all(|(r, count)| mirrored.bucket_count(r) == Some(count))
-        && telemetry_report.counter("voting.rounds") == stats.steps
-        && telemetry_report.counter("voting.failures") == stats.voting_failures
-        && telemetry_report.counter("switchboard.raises") == stats.raises
-        && telemetry_report.counter("switchboard.lowers") == stats.lowers;
     println!(
         "telemetry cross-check (histogram, rounds, voting failures, raises, lowers): {}",
         if matches { "MATCH" } else { "MISMATCH" }
@@ -121,6 +152,7 @@ fn main() {
 
     // Determinism witness + speedup: with jobs > 1, re-run the identical
     // campaign serially and compare the merged JSON byte for byte.
+    let mut identical = true;
     if jobs > 1 {
         let serial_started = Instant::now();
         let (serial, serial_telemetry) = Campaign::split(&base, shards)
@@ -128,7 +160,7 @@ fn main() {
             .run_observed()
             .expect("campaign shards must not panic");
         let serial_elapsed = serial_started.elapsed();
-        let identical = serial.to_json() == report.to_json()
+        identical = serial.to_json() == report.to_json()
             && serial_telemetry.to_json() == telemetry_report.to_json();
         println!(
             "serial reference (1 worker): {:.3}s | parallel result bit-identical: {}",
@@ -139,9 +171,10 @@ fn main() {
             "speedup at {jobs} workers: {:.2}x (scales with physical cores)",
             serial_elapsed.as_secs_f64() / elapsed.as_secs_f64()
         );
-        assert!(
-            identical,
-            "parallel campaign diverged from serial reference"
-        );
+    }
+    if matches && identical {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -3,14 +3,15 @@
 //! transient faults; the adaptive alpha-count manager avoids both.
 //!
 //! Flags: `--rounds N` (default 1000), `--seed N` (default `AFTA_SEED`,
-//! else 42).
+//! else 42).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::{arg, arg_seed};
+use afta_bench::Flags;
 use afta_ftpatterns::{run_clash_table, ScenarioConfig};
 
 fn main() {
-    let rounds = arg::<u64>("--rounds", 1000);
-    let seed = arg_seed(42);
+    let flags = Flags::from_env(&["--rounds N", "--seed N"]);
+    let rounds = flags.num::<u64>("--rounds", 1000);
+    let seed = flags.seed(42);
     let config = ScenarioConfig {
         rounds,
         seed,

@@ -4,9 +4,10 @@
 //! hardware verifies the selection (silently-wrong reads under the naive
 //! M0 versus the selected method).
 //!
-//! Flags: `--passes N` (workload read passes, default 20).
+//! Flags: `--passes N` (workload read passes, default 20).  Any other
+//! flag, or one given twice, exits 2.
 
-use afta_bench::arg;
+use afta_bench::Flags;
 use afta_memaccess::{
     configure, run_workload, FailureKnowledgeBase, FailureRecord, MethodKind, WorkloadConfig,
 };
@@ -27,7 +28,7 @@ fn workload_errors(kind: MethodKind, rates: FaultRates, passes: u64, seed: u64) 
 }
 
 fn main() {
-    let passes = arg::<u64>("--passes", 20);
+    let passes = Flags::from_env(&["--passes N"]).num::<u64>("--passes", 20);
     let mut kb = FailureKnowledgeBase::new();
     for class in BehaviorClass::ALL {
         kb.insert_model(

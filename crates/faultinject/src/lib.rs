@@ -350,23 +350,38 @@ impl EnvironmentProfile {
     /// The per-exposure fault probability at `tick`.
     #[must_use]
     pub fn probability_at(&self, tick: Tick) -> f64 {
+        self.phase_at(tick).0
+    }
+
+    /// The per-exposure fault probability at `tick`, and the first tick
+    /// after it at which the probability may change: the end of
+    /// `tick`'s phase, or `Tick(u64::MAX)` past a non-cyclic profile's
+    /// end and where the end would overflow.  Every tick from `tick`
+    /// up to (not including) that end has the probability
+    /// [`probability_at`](Self::probability_at) gives `tick`, so a
+    /// loop over consecutive ticks walks the phases once per phase.
+    #[must_use]
+    pub fn phase_at(&self, tick: Tick) -> (f64, Tick) {
         let cycle = self.cycle_length();
-        let mut t = if self.cyclic {
+        let last = self.phases[self.phases.len() - 1].fault_probability;
+        let offset = if self.cyclic {
             tick.0 % cycle
         } else if tick.0 >= cycle {
             // Past the end of a non-cyclic profile: last phase holds.
-            return self.phases[self.phases.len() - 1].fault_probability;
+            return (last, Tick(u64::MAX));
         } else {
             tick.0
         };
+        let mut phase_end = 0u64;
         for phase in &self.phases {
-            if t < phase.duration {
-                return phase.fault_probability;
+            phase_end += phase.duration;
+            if offset < phase_end {
+                let end = tick.0.saturating_add(phase_end - offset);
+                return (phase.fault_probability, Tick(end));
             }
-            t -= phase.duration;
         }
-        // Unreachable: t < cycle and the loop covers the whole cycle.
-        self.phases[self.phases.len() - 1].fault_probability
+        // Unreachable: offset < cycle and the loop covers the whole cycle.
+        (last, Tick(tick.0.saturating_add(1)))
     }
 
     /// Draws whether one exposure at `tick` fails, using `rng`.
@@ -497,6 +512,87 @@ mod tests {
         assert_eq!(p.probability_at(Tick(14)), 1.0);
         assert_eq!(p.probability_at(Tick(15)), 0.0);
         assert_eq!(p.probability_at(Tick(25)), 1.0); // wrapped
+    }
+
+    /// Checks [`EnvironmentProfile::phase_at`] from every tick of
+    /// `ticks`: its probability is `probability_at`'s on each tick up to
+    /// the change point (the first 64 of them), the change point lies
+    /// past the tick unless it saturated, and `probability_at` differs
+    /// there when the profile has phases to change between and the walk
+    /// neither saturates nor runs off a non-cyclic end (every profile
+    /// below gives neighbouring phases distinct probabilities).
+    fn assert_walk_agrees(profile: &EnvironmentProfile, ticks: impl IntoIterator<Item = u64>) {
+        for tick in ticks {
+            let (p, end) = profile.phase_at(Tick(tick));
+            assert_eq!(p.to_bits(), profile.probability_at(Tick(tick)).to_bits());
+            assert!(end.0 > tick || end.0 == u64::MAX, "{tick} -> {end}");
+            let mut t = tick;
+            while t < end.0 && t - tick < 64 {
+                let here = profile.probability_at(Tick(t));
+                assert_eq!(here.to_bits(), p.to_bits(), "tick {t} from {tick}");
+                t += 1;
+            }
+            let ran_off = !profile.cyclic && end.0 >= profile.cycle_length();
+            if profile.phases.len() > 1 && end.0 != u64::MAX && !ran_off {
+                assert_ne!(
+                    profile.probability_at(end),
+                    p,
+                    "change at {end} from {tick}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_walk_agrees_with_probability_at_up_to_its_change_point() {
+        let near_max = u64::MAX - 40..=u64::MAX;
+        // Cyclic, with one-tick phases and a wrap at the cycle's end.
+        let cyclic = EnvironmentProfile::new(
+            vec![
+                Phase::new(1, 0.0),
+                Phase::new(3, 0.5),
+                Phase::new(1, 1.0),
+                Phase::new(2, 0.25),
+            ],
+            true,
+        );
+        assert_walk_agrees(&cyclic, (0..40).chain(near_max.clone()));
+        // One one-tick phase: every tick is a change point.
+        assert_walk_agrees(&EnvironmentProfile::calm(0.01), [0, 1, 7, u64::MAX]);
+        assert_eq!(
+            EnvironmentProfile::calm(0.01).phase_at(Tick(7)),
+            (0.01, Tick(8))
+        );
+        // u64::MAX is a multiple of 15: the last tick starts a calm phase
+        // whose end saturates.
+        let storms = EnvironmentProfile::cyclic_storms(10, 5, 0.0, 1.0);
+        assert_walk_agrees(&storms, near_max.clone());
+        assert_eq!(storms.phase_at(Tick(u64::MAX)), (0.0, Tick(u64::MAX)));
+        assert_eq!(storms.phase_at(Tick(u64::MAX - 1)), (1.0, Tick(u64::MAX)));
+        // Non-cyclic: the last phase holds past the end, for ever.
+        let once = EnvironmentProfile::calm_storm_calm(3, 2, 0.001, 0.5);
+        assert_walk_agrees(&once, (0..20).chain(near_max.clone()));
+        assert_eq!(once.phase_at(Tick(4)), (0.5, Tick(5)));
+        assert_eq!(once.phase_at(Tick(6)), (0.001, Tick(8)));
+        assert_eq!(once.phase_at(Tick(8)), (0.001, Tick(u64::MAX)));
+        // Phases as long as the tick range: a non-cyclic profile ending
+        // just short of u64::MAX, and a cyclic one of cycle u64::MAX - 1.
+        let long = EnvironmentProfile::new(
+            vec![Phase::new(u64::MAX - 10, 0.1), Phase::new(5, 0.2)],
+            false,
+        );
+        assert_walk_agrees(&long, (0..5).chain(near_max.clone()));
+        assert_eq!(long.phase_at(Tick(0)), (0.1, Tick(u64::MAX - 10)));
+        assert_eq!(
+            long.phase_at(Tick(u64::MAX - 10)),
+            (0.2, Tick(u64::MAX - 5))
+        );
+        let halves = EnvironmentProfile::new(
+            vec![Phase::new(u64::MAX / 2, 0.1), Phase::new(u64::MAX / 2, 0.2)],
+            true,
+        );
+        assert_walk_agrees(&halves, (0..5).chain(near_max));
+        assert_eq!(halves.phase_at(Tick(u64::MAX)), (0.1, Tick(u64::MAX)));
     }
 
     #[test]

@@ -152,6 +152,11 @@ pub fn redundancy_bounds(policy: &RedundancyPolicy) -> Vec<u64> {
 ///   accounting so its per-degree buckets equal
 ///   [`ExperimentReport::histogram`]'s counts (Fig. 7's numbers).
 ///
+/// `voting.rounds` and `voting.dtof` are tallied in plain integers and
+/// land at the end of each [`ExperimentRun::run_chunk`], here once for
+/// the whole run; failures, journal records and the `switchboard.*`
+/// metrics land as each event happens.
+///
 /// # Panics
 ///
 /// Panics when the policy is invalid.
@@ -308,8 +313,16 @@ impl ExperimentRun {
     /// sequence of `run_chunk` calls covering the full step range
     /// produces the same report and the same telemetry as one
     /// uninterrupted call.
+    ///
+    /// The chunk's rounds reach `voting.rounds` and `voting.dtof` at its
+    /// end, as one tally (every 8,192 steps in the benchmark's timed
+    /// chunks, once per shard under the campaign runner), so the loop
+    /// makes no atomic add per round.  Failed rounds, dips, faults and
+    /// adaptations reach their counters, the gauge and the journal as
+    /// they happen.
     pub fn run_chunk(&mut self, max_steps: u64, bus: Option<&Bus>, telemetry: &Registry) -> u64 {
         let vote_telemetry = VoteTelemetry::new(telemetry);
+        let mut rounds = vote_telemetry.tally();
         let faults_counter = telemetry.counter("switchboard.faults_injected");
         let raises_counter = telemetry.counter("switchboard.raises");
         let lowers_counter = telemetry.counter("switchboard.lowers");
@@ -334,11 +347,16 @@ impl ExperimentRun {
         // for callbacks and per-topic FIFO alike.
         let mut arena: RoundArena<u64> = RoundArena::with_replicas(self.n);
         let mut reading_batch: Vec<DisturbanceReading> = Vec::new();
+        // The fault probability holds until `phase_end`; the first step
+        // walks the profile's phases.
+        let (mut p, mut phase_end) = (0.0, Tick::ZERO);
 
         for _ in 0..todo {
             let step = self.next_step;
             let tick = Tick(step);
-            let p = self.config.profile.probability_at(tick);
+            if tick >= phase_end {
+                (p, phase_end) = self.config.profile.phase_at(tick);
+            }
             let n = self.n;
 
             // Draw per-replica faults and synthesise the vote vector.
@@ -361,7 +379,8 @@ impl ExperimentRun {
             if !report.succeeded() {
                 self.voting_failures += 1;
             }
-            vote_telemetry.observe(tick, &report);
+            rounds.record(u64::from(report.dtof));
+            vote_telemetry.observe_events(tick, &report);
 
             if bus.is_some() {
                 reading_batch.push(DisturbanceReading {
@@ -410,6 +429,7 @@ impl ExperimentRun {
         if let Some(bus) = bus {
             bus.publish_batch(reading_batch.drain(..));
         }
+        vote_telemetry.add_tally(&rounds);
         todo
     }
 
@@ -672,6 +692,42 @@ mod tests {
         assert!(run.is_done());
         assert_eq!(run.run_chunk(10, None, &registry), 0);
         assert_eq!(run.into_report(&registry), whole);
+    }
+
+    #[test]
+    fn telemetry_does_not_depend_on_chunking() {
+        // Storms hard enough to defeat the vote at n = 3 before the
+        // controller raises it: failed rounds and dips by the hundred,
+        // more than the journal holds.
+        let profile = EnvironmentProfile::cyclic_storms(2_000, 600, 0.001, 0.3);
+        let cfg = quick_config(30_000, profile);
+        let chunked = |chunk: u64| {
+            let registry = Registry::with_journal_capacity(1_024);
+            let mut run = ExperimentRun::new(&cfg);
+            while !run.is_done() {
+                assert!(run.run_chunk(chunk, None, &registry) > 0);
+            }
+            (run.into_report(&registry), registry.report())
+        };
+        // Chunks of one step add each round's tally as it closes: the
+        // per-round recording every other chunking must reproduce.
+        let (report, telemetry) = chunked(1);
+        assert_eq!(telemetry.counter("voting.rounds"), cfg.steps);
+        assert_eq!(telemetry.histogram("voting.dtof").unwrap().count, cfg.steps);
+        let failed = telemetry.journal_of_kind("vote-round").count();
+        let dips = telemetry.journal_of_kind("dtof-dip").count();
+        assert!(
+            failed > 100 && dips > 100,
+            "{failed} failed rounds, {dips} dips"
+        );
+        assert!(telemetry.journal_dropped > 0);
+        assert!(report.voting_failures > 100);
+        assert_eq!(telemetry.counter("voting.failures"), report.voting_failures);
+        for chunk in [7, 8_192, u64::MAX] {
+            let (other_report, other) = chunked(chunk);
+            assert_eq!(other_report, report, "chunks of {chunk}");
+            assert_eq!(other.to_json(), telemetry.to_json(), "chunks of {chunk}");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   so the hot path is one `fetch_add`; snapshot reads take no lock on
 //!   the data itself.  A [`Registry::disabled`] registry degrades every
 //!   operation to a branch on `None` — instrumented code needs no `cfg`.
+//!   A loop too hot even for that tallies into a plain-integer
+//!   [`HistogramTally`] and adds it to the shared histogram once.
 //! * [`TelemetrySpan`] / [`VirtualSpan`] — RAII span timing.  Wall-clock
 //!   spans record elapsed nanoseconds on drop; virtual spans measure
 //!   [`Tick`] distances from `afta-sim`'s clock, so simulated experiments
@@ -120,6 +122,19 @@ impl HistogramCore {
         self.count.fetch_add(n, Ordering::Relaxed);
         self.sum
             .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
+    }
+
+    fn add_tally<const B: usize>(&self, tally: &HistogramTally<B>) {
+        assert_eq!(
+            self.bounds, tally.bounds,
+            "a tally adds only into a histogram of its bounds"
+        );
+        let counts = tally.buckets.iter().chain([&tally.overflow]);
+        for (bucket, &n) in self.buckets.iter().zip(counts) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(tally.count, Ordering::Relaxed);
+        self.sum.fetch_add(tally.sum, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -610,6 +625,18 @@ impl FixedHistogram {
         }
     }
 
+    /// Adds every observation of `tally` at once: its buckets, count
+    /// and sum, as if each had been [`record`](Self::record)ed here.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this histogram's bounds are not the tally's.
+    pub fn add_tally<const B: usize>(&self, tally: &HistogramTally<B>) {
+        if let Some(h) = &self.0 {
+            h.add_tally(tally);
+        }
+    }
+
     /// Total observations recorded (0 when disabled).
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -622,6 +649,79 @@ impl FixedHistogram {
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.as_ref().map(|h| h.snapshot()).unwrap_or_default()
+    }
+}
+
+/// A histogram in plain integers, for a hot loop on one thread: a
+/// [`record`](Self::record) is a bucket search and three adds, with no
+/// atomic, and [`FixedHistogram::add_tally`] adds the whole tally into
+/// a shared histogram of the same bounds in one call.
+///
+/// ```
+/// use afta_telemetry::{HistogramTally, Registry};
+///
+/// let registry = Registry::new();
+/// let shared = registry.histogram("h", &[1, 2]);
+/// let mut tally = HistogramTally::new([1, 2]);
+/// for value in [0, 2, 2, 9] {
+///     tally.record(value);
+/// }
+/// shared.add_tally(&tally);
+/// let snap = shared.snapshot();
+/// assert_eq!((snap.counts, snap.count, snap.sum), (vec![1, 2, 1], 4, 13));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramTally<const B: usize> {
+    bounds: [u64; B],
+    /// Observations at or below each bound (and above the one before).
+    buckets: [u64; B],
+    /// Observations above the last bound.
+    overflow: u64,
+    count: u64,
+    /// Wraps as the shared histogram's atomic sum does.
+    sum: u64,
+}
+
+impl<const B: usize> HistogramTally<B> {
+    /// An empty tally over `bounds`, ascending inclusive upper bounds
+    /// as [`Registry::histogram`] takes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bounds` is empty or not strictly ascending.
+    #[must_use]
+    pub fn new(bounds: [u64; B]) -> Self {
+        assert!(B > 0, "histogram needs at least one bound");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly ascending"
+        );
+        Self {
+            bounds,
+            buckets: [0; B],
+            overflow: 0,
+            count: 0,
+            sum: 0,
+        }
+    }
+
+    /// Records one observation of `value`.
+    pub fn record(&mut self, value: u64) {
+        match self
+            .buckets
+            .get_mut(self.bounds.partition_point(|&b| b < value))
+        {
+            Some(bucket) => *bucket += 1,
+            None => self.overflow += 1,
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
+    /// Observations recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
     }
 }
 
@@ -759,6 +859,41 @@ mod tests {
         assert_eq!(h.snapshot().bucket_count(3), Some(100));
         assert_eq!(h.snapshot().bucket_count(5), Some(7));
         assert_eq!(h.count(), 107);
+    }
+
+    #[test]
+    fn an_added_tally_equals_recording_each_value() {
+        let values = [0, 3, 5, 6, 7, 9, 10, 11, u64::MAX, u64::MAX, 4];
+        let r = Registry::new();
+        let each = r.histogram("each", &[3, 5, 7, 9]);
+        let tallied = r.histogram("tallied", &[3, 5, 7, 9]);
+        let mut tally = HistogramTally::new([3, 5, 7, 9]);
+        for v in values {
+            each.record(v);
+            tally.record(v);
+        }
+        assert_eq!(tally.count(), values.len() as u64);
+        // Twice, so the shared cells add rather than overwrite; the sum
+        // wraps alike on both paths.
+        for _ in 0..2 {
+            tallied.add_tally(&tally);
+        }
+        for v in values {
+            each.record(v);
+        }
+        assert_eq!(tallied.snapshot(), each.snapshot());
+        // Nothing to add to on a disabled registry.
+        Registry::disabled()
+            .histogram("none", &[3, 5, 7, 9])
+            .add_tally(&tally);
+    }
+
+    #[test]
+    #[should_panic(expected = "its bounds")]
+    fn a_tally_refuses_a_histogram_of_other_bounds() {
+        let r = Registry::new();
+        r.histogram("h", &[1, 2])
+            .add_tally(&HistogramTally::new([1, 3]));
     }
 
     #[test]

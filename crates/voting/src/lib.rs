@@ -37,7 +37,7 @@ pub mod telemetry;
 pub mod voters;
 
 pub use arena::RoundArena;
-pub use telemetry::VoteTelemetry;
+pub use telemetry::{DtofTally, VoteTelemetry};
 pub use voters::{median_vote, plurality_vote, weighted_majority_vote};
 
 use std::fmt;
