@@ -16,7 +16,7 @@
 
 use afta_alphacount::windowed::WindowedCount;
 use afta_alphacount::{AlphaCount, DecayPolicy, Judgment, Verdict};
-use afta_bench::Flags;
+use afta_sim::Flags;
 
 /// A fault pattern: does round `i` (0-based, counted from onset) err?
 #[derive(Clone, Copy)]

@@ -9,7 +9,7 @@
 //! Flags: `--steps N` (default 200000), `--seed N` (default
 //! `AFTA_SEED`, else 42).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::Flags;
+use afta_sim::Flags;
 use afta_switchboard::{ablation_base, sweep_lower_after, sweep_raise_threshold};
 
 fn main() {

@@ -10,7 +10,8 @@
 //! `AFTA_SEED`, else 0xE7), `--rounds N` (default 40), `--voters N`
 //! (default 9), `--replicas N` (default 3), `--shards K` (default 4),
 //! `--jobs N` (default: available parallelism, or `AFTA_CAMPAIGN_JOBS`),
-//! `--json`.  Any other flag, or one given twice, exits 2.
+//! `--json`.  Any other flag, one given twice, or another transport
+//! exits 2.
 //!
 //! Exits non-zero when `both` finds a divergence — this is the CI-facing
 //! form of the `crates/net/tests/differential.rs` assertion.
@@ -19,11 +20,11 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::Instant;
 
-use afta_bench::Flags;
 use afta_campaign::jobs_from_env;
 use afta_net::experiment::{
     run_net_campaign, NetExperimentConfig, NetExperimentReport, TransportKind,
 };
+use afta_sim::Flags;
 
 fn run_campaign(
     base: &NetExperimentConfig,
@@ -156,9 +157,6 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        other => {
-            eprintln!("unknown --transport {other:?} (expected sim|tcp|both)");
-            ExitCode::FAILURE
-        }
+        other => flags.refuse(&format!("--transport: {other:?} is not sim, tcp or both")),
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! Takes no flags; any argument exits 2.
 
-use afta_bench::Flags;
 use afta_memsim::MachineInventory;
+use afta_sim::Flags;
 
 fn main() {
     let _ = Flags::from_env(&[]);

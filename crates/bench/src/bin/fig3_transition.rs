@@ -9,8 +9,8 @@
 //!
 //! Takes no flags; any argument exits 2.
 
-use afta_bench::Flags;
 use afta_dag::{fig3_snapshots, ComponentGraph, ReflectiveArchitecture};
+use afta_sim::Flags;
 
 fn render(graph: &ComponentGraph) -> String {
     let mut out = String::new();

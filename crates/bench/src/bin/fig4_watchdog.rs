@@ -7,9 +7,8 @@
 //! `--onset N` (fault onset tick, default 45).  Any other flag, or one
 //! given twice, exits 2.
 
-use afta_bench::Flags;
 use afta_ftpatterns::fig4_scenario_observed;
-use afta_sim::Tick;
+use afta_sim::{Flags, Tick};
 use afta_telemetry::Registry;
 
 fn main() {

@@ -7,9 +7,9 @@
 //! 4), `--jobs N` (campaign worker threads, default 1 or
 //! `AFTA_CAMPAIGN_JOBS`).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::EnvironmentProfile;
+use afta_sim::Flags;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 use afta_voting::{dtof, dtof_max, majority_vote, VoteOutcome};
 

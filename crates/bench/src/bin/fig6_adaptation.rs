@@ -13,11 +13,10 @@
 //! threads, default 1 or `AFTA_CAMPAIGN_JOBS`).  Any other flag, or one
 //! given twice, exits 2.
 
-use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign};
 use afta_faultinject::{EnvironmentProfile, Phase};
 use afta_sim::stats::Summary;
-use afta_sim::Tick;
+use afta_sim::{Flags, Tick};
 use afta_switchboard::{run_experiment_observed, ExperimentConfig, RedundancyPolicy};
 use afta_telemetry::Registry;
 

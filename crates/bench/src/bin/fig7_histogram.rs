@@ -27,9 +27,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use afta_bench::Flags;
 use afta_campaign::{jobs_from_env, Campaign, CampaignReport};
 use afta_faultinject::EnvironmentProfile;
+use afta_sim::Flags;
 use afta_switchboard::{ExperimentConfig, RedundancyPolicy};
 use afta_telemetry::TelemetryReport;
 

@@ -5,8 +5,8 @@
 //! Flags: `--rounds N` (default 1000), `--seed N` (default `AFTA_SEED`,
 //! else 42).  Any other flag, or one given twice, exits 2.
 
-use afta_bench::Flags;
 use afta_ftpatterns::{run_clash_table, ScenarioConfig};
+use afta_sim::Flags;
 
 fn main() {
     let flags = Flags::from_env(&["--rounds N", "--seed N"]);

@@ -7,11 +7,11 @@
 //! Flags: `--passes N` (workload read passes, default 20).  Any other
 //! flag, or one given twice, exits 2.
 
-use afta_bench::Flags;
 use afta_memaccess::{
     configure, run_workload, FailureKnowledgeBase, FailureRecord, MethodKind, WorkloadConfig,
 };
 use afta_memsim::{BehaviorClass, FaultRates, MemoryTechnology, Severity, Spd};
+use afta_sim::Flags;
 
 fn workload_errors(kind: MethodKind, rates: FaultRates, passes: u64, seed: u64) -> (u64, u64) {
     let mut m = kind.instantiate(2048, rates, seed);

@@ -23,6 +23,13 @@
 //!   1  a JUnit suite failed, or a pin drifted / went missing
 //!   2  usage, I/O, or parse error
 //! ```
+//!
+//! Each command reads its arguments through [`afta_sim::Flags`]: an
+//! unknown flag, one given twice or without its value, a value that
+//! does not parse (a malformed `AFTA_SEED` too) and a stray or missing
+//! argument exit 2, naming it, before anything runs.  `otel` takes its
+//! seed from `--seed` (decimal or `0x`-hex), then `AFTA_SEED`, then 42;
+//! `run` always uses 42.
 
 #![forbid(unsafe_code)]
 
@@ -37,6 +44,7 @@ use afta_ci::sarif::{sarif_report, validate_sarif};
 use afta_lint::{LintDriver, LintTarget};
 use afta_net::{run_net_experiment, NetExperimentConfig, TransportKind};
 use afta_serve::{run_serve_experiment, ServeExperimentConfig};
+use afta_sim::Flags;
 use afta_switchboard::{run_experiment, ExperimentRun};
 use afta_telemetry::{Registry, TraceContext};
 
@@ -76,39 +84,6 @@ fn run(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Pulls `--flag VALUE` out of `args`, returning the remaining
-/// positional arguments.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(format!("{flag} needs a value"));
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        None => false,
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-    }
-}
-
-fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unknown option `{flag}`"));
-    }
-    Ok(())
-}
-
 fn emit(out: Option<&str>, content: &str) -> Result<(), String> {
     match out {
         None => {
@@ -131,14 +106,13 @@ fn emit(out: Option<&str>, content: &str) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_sarif(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let out = take_flag(&mut args, "--out")?;
-    let uri = take_flag(&mut args, "--uri")?;
-    reject_unknown_flags(&args)?;
-    let [manifest] = args.as_slice() else {
-        return Err("sarif takes exactly one manifest path".to_string());
-    };
-    emit(out.as_deref(), &build_sarif(manifest, uri.as_deref())?)?;
+    let flags = Flags::new(
+        "afta-ci sarif",
+        args,
+        &["<MANIFEST.json>", "--out PATH", "--uri URI"],
+    );
+    let sarif = build_sarif(flags.positional("<MANIFEST.json>"), flags.text("--uri"))?;
+    emit(flags.text("--out"), &sarif)?;
     Ok(0)
 }
 
@@ -161,15 +135,9 @@ fn build_sarif(manifest: &str, uri: Option<&str>) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_junit(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let out = take_flag(&mut args, "--out")?;
-    let skip_tcp = take_switch(&mut args, "--skip-tcp");
-    reject_unknown_flags(&args)?;
-    if !args.is_empty() {
-        return Err("junit takes no positional arguments".to_string());
-    }
-    let report = build_junit(skip_tcp)?;
-    emit(out.as_deref(), &report.to_xml())?;
+    let flags = Flags::new("afta-ci junit", args, &["--out PATH", "--skip-tcp"]);
+    let report = build_junit(flags.has("--skip-tcp"))?;
+    emit(flags.text("--out"), &report.to_xml())?;
     eprintln!(
         "afta-ci: junit: {} tests, {} failures",
         report.tests(),
@@ -383,19 +351,8 @@ fn checkpoint_suite() -> JunitSuite {
 // ---------------------------------------------------------------------------
 
 fn cmd_otel(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let out = take_flag(&mut args, "--out")?;
-    let seed = match take_flag(&mut args, "--seed")? {
-        None => 42,
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("--seed: not a number: {raw}"))?,
-    };
-    reject_unknown_flags(&args)?;
-    if !args.is_empty() {
-        return Err("otel takes no positional arguments".to_string());
-    }
-    emit(out.as_deref(), &build_otel(seed)?)?;
+    let flags = Flags::new("afta-ci otel", args, &["--out PATH", "--seed N"]);
+    emit(flags.text("--out"), &build_otel(flags.seed(42))?)?;
     Ok(0)
 }
 
@@ -416,20 +373,21 @@ fn build_otel(seed: u64) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_run(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let out_dir = take_flag(&mut args, "--out-dir")?.unwrap_or_else(|| "target/evidence".into());
-    let manifest = take_flag(&mut args, "--manifest")?
-        .unwrap_or_else(|| "examples/manifests/ariane_fixed.json".into());
-    let skip_tcp = take_switch(&mut args, "--skip-tcp");
-    reject_unknown_flags(&args)?;
-    if !args.is_empty() {
-        return Err("run takes no positional arguments".to_string());
-    }
-    let dir = PathBuf::from(&out_dir);
+    let flags = Flags::new(
+        "afta-ci run",
+        args,
+        &["--manifest PATH", "--out-dir DIR", "--skip-tcp"],
+    );
+    let out_dir = flags.text("--out-dir").unwrap_or("target/evidence");
+    let manifest = flags
+        .text("--manifest")
+        .unwrap_or("examples/manifests/ariane_fixed.json");
+    let skip_tcp = flags.has("--skip-tcp");
+    let dir = PathBuf::from(out_dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{out_dir}: {e}"))?;
 
     let sarif_path = dir.join("afta-lint.sarif");
-    emit(sarif_path.to_str(), &build_sarif(&manifest, None)?)?;
+    emit(sarif_path.to_str(), &build_sarif(manifest, None)?)?;
 
     let junit = build_junit(skip_tcp)?;
     let junit_path = dir.join("afta-ci.junit.xml");
@@ -454,18 +412,17 @@ fn cmd_run(args: &[String]) -> Result<u8, String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_check(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let bench = take_flag(&mut args, "--bench")?;
-    let manifests = take_flag(&mut args, "--manifests")?;
-    reject_unknown_flags(&args)?;
-    let [pins_path] = args.as_slice() else {
-        return Err("check takes exactly one pins.toml path".to_string());
-    };
+    let flags = Flags::new(
+        "afta-ci check",
+        args,
+        &["<PINS.toml>", "--bench PATH", "--manifests DIR"],
+    );
+    let pins_path = flags.positional("<PINS.toml>");
     let text = std::fs::read_to_string(pins_path).map_err(|e| format!("{pins_path}: {e}"))?;
     let pins = PinFile::parse(&text).map_err(|e| format!("{pins_path}: {e}"))?;
 
-    let bench_path = bench.unwrap_or_else(|| "BENCH_9.json".into());
-    let bench_json = match std::fs::read_to_string(&bench_path) {
+    let bench_path = flags.text("--bench").unwrap_or("BENCH_9.json");
+    let bench_json = match std::fs::read_to_string(bench_path) {
         Ok(json) => Some(json),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             eprintln!("afta-ci: no bench snapshot at {bench_path}; bench pins will be skipped");
@@ -474,9 +431,9 @@ fn cmd_check(args: &[String]) -> Result<u8, String> {
         Err(e) => return Err(format!("{bench_path}: {e}")),
     };
     let bench_available = bench_json.is_some();
-    let manifest_path = manifests.unwrap_or_else(|| "examples/manifests".into());
-    let manifest_dir = if std::path::Path::new(&manifest_path).is_dir() {
-        Some(manifest_path)
+    let manifest_path = flags.text("--manifests").unwrap_or("examples/manifests");
+    let manifest_dir = if Path::new(manifest_path).is_dir() {
+        Some(manifest_path.to_owned())
     } else {
         eprintln!("afta-ci: no manifest dir at {manifest_path}; lint pins will be skipped");
         None
@@ -496,20 +453,18 @@ fn cmd_check(args: &[String]) -> Result<u8, String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_signals(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let bench = take_flag(&mut args, "--bench")?;
-    let manifests = take_flag(&mut args, "--manifests")?;
-    reject_unknown_flags(&args)?;
-    if !args.is_empty() {
-        return Err("signals takes no positional arguments".to_string());
-    }
-    let bench_json = match bench {
+    let flags = Flags::new(
+        "afta-ci signals",
+        args,
+        &["--bench PATH", "--manifests DIR"],
+    );
+    let bench_json = match flags.text("--bench") {
         None => None,
-        Some(path) => Some(std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?),
+        Some(path) => Some(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?),
     };
     let signals = evidence::collect_signals(&EvidenceOptions {
         bench_json,
-        manifest_dir: manifests,
+        manifest_dir: flags.text("--manifests").map(str::to_owned),
     })?;
     println!("schema = \"{}\"", afta_ci::pins::PINS_SCHEMA);
     for signal in signals {

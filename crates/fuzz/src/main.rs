@@ -14,7 +14,7 @@
 //!       [--out-dir DIR]         where reproducers land (default target/fuzz)
 //!   replay <FILE>             Re-run a reproducer; exit 0 iff it still trips
 //!   shrink                    Re-find and minimize one schedule's failure
-//!       --seed HEX|DEC [--index I] [--max-steps M] [--profile battery|wild]
+//!       [--seed HEX|DEC] [--index I] [--max-steps M] [--profile battery|wild]
 //!       [--out PATH]
 //!
 //! Exit codes:
@@ -22,6 +22,11 @@
 //!   1  an invariant violated / reproducer drifted
 //!   2  usage, I/O, or parse error
 //! ```
+//!
+//! Each command reads its arguments through [`afta_sim::Flags`]: an
+//! unknown flag, one given twice or without its value, a value that
+//! does not parse (a malformed `AFTA_SEED` too) and a stray or missing
+//! argument exit 2, naming it, before anything runs.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +38,7 @@ use afta_fuzz::{
     assert_one_minimal, generate, load_corpus, replay_reproducer, run_schedule, shrink, BugFlags,
     Profile, Reproducer, RunConfig, Schedule, DEFAULT_MAX_STEPS,
 };
-use afta_sim::{parse_seed, SeedFactory};
+use afta_sim::{Flags, SeedFactory};
 use afta_telemetry::Registry;
 
 const USAGE: &str = "usage: afta-fuzz <run|replay|shrink> [options]  (see --help)";
@@ -70,69 +75,48 @@ fn run(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Pulls `--flag VALUE` out of `args`, returning the value if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Ok(Some(value))
-    } else {
-        Ok(None)
-    }
-}
-
-fn parse_profile(text: &str) -> Result<Profile, String> {
+fn parse_profile(text: &str) -> Option<Profile> {
     match text {
-        "battery" => Ok(Profile::Battery),
-        "wild" => Ok(Profile::Wild),
-        other => Err(format!("bad profile `{other}` (battery|wild)")),
+        "battery" => Some(Profile::Battery),
+        "wild" => Some(Profile::Wild),
+        _ => None,
     }
-}
-
-fn master_seed(flag: Option<String>) -> Result<u64, String> {
-    let Some(text) = flag.or_else(|| std::env::var("AFTA_SEED").ok()) else {
-        return Ok(DEFAULT_SEED);
-    };
-    parse_seed(&text).ok_or_else(|| format!("bad seed `{}` (decimal or 0x-hex)", text.trim()))
 }
 
 fn cmd_run(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let seed = master_seed(take_flag(&mut args, "--seed")?)?;
-    let schedules = match take_flag(&mut args, "--schedules")? {
-        Some(n) => n
-            .parse::<u64>()
-            .map_err(|_| "bad --schedules".to_string())?,
-        None => std::env::var("AFTA_FUZZ_SCHEDULES")
+    let flags = Flags::new(
+        "afta-fuzz run",
+        args,
+        &[
+            "--seed HEX|DEC",
+            "--schedules N",
+            "--max-steps M",
+            "--profile battery|wild",
+            "--corpus DIR",
+            "--junit PATH",
+            "--out-dir DIR",
+        ],
+    );
+    let seed = flags.seed(DEFAULT_SEED);
+    let schedules = flags.num(
+        "--schedules",
+        std::env::var("AFTA_FUZZ_SCHEDULES")
             .ok()
             .and_then(|n| n.trim().parse().ok())
-            .unwrap_or(25),
-    };
-    let max_steps = match take_flag(&mut args, "--max-steps")? {
-        Some(n) => n
-            .parse::<u64>()
-            .map_err(|_| "bad --max-steps".to_string())?,
-        None => DEFAULT_MAX_STEPS,
-    };
-    let profile = match take_flag(&mut args, "--profile")? {
-        Some(p) => parse_profile(&p)?,
-        None => Profile::Battery,
-    };
-    let corpus_dir = take_flag(&mut args, "--corpus")?.map(PathBuf::from);
-    let junit_path = take_flag(&mut args, "--junit")?.map(PathBuf::from);
-    let out_dir = take_flag(&mut args, "--out-dir")?
-        .map_or_else(|| PathBuf::from("target/fuzz"), PathBuf::from);
-    if !args.is_empty() {
-        return Err(format!("unexpected arguments: {args:?}"));
-    }
+            .unwrap_or(25_u64),
+    );
+    let max_steps = flags.num("--max-steps", DEFAULT_MAX_STEPS);
+    let profile = flags
+        .get("--profile", parse_profile)
+        .unwrap_or(Profile::Battery);
+    let corpus_dir = flags.text("--corpus").map(PathBuf::from);
+    let junit_path = flags.text("--junit").map(PathBuf::from);
+    let out_dir = PathBuf::from(flags.text("--out-dir").unwrap_or("target/fuzz"));
 
     let cfg = RunConfig::from_env();
     let session = Registry::new();
     let factory = SeedFactory::new(seed);
-    let flags = BugFlags::default();
+    let bugs = BugFlags::default();
 
     let mut battery = JunitSuite::new("fuzz.battery");
     let mut failures = 0u64;
@@ -142,7 +126,7 @@ fn cmd_run(args: &[String]) -> Result<u8, String> {
     for index in 0..schedules {
         let schedule_seed = factory.shard_seed(index);
         let schedule = generate(schedule_seed, max_steps, profile);
-        let report = run_schedule(&schedule, &flags, &cfg, &session);
+        let report = run_schedule(&schedule, &bugs, &cfg, &session);
         let case_name = format!("schedule-{index}-seed-0x{schedule_seed:016x}");
         if report.passed() {
             battery
@@ -159,7 +143,7 @@ fn cmd_run(args: &[String]) -> Result<u8, String> {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n");
-        if let Some(outcome) = shrink(&schedule, first.invariant, &flags, &cfg) {
+        if let Some(outcome) = shrink(&schedule, first.invariant, &bugs, &cfg) {
             let reproducer = Reproducer::from_shrink(&outcome, schedule.events.len());
             std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
             let path = out_dir.join(format!(
@@ -248,9 +232,8 @@ fn replay_corpus(dir: &Path, cfg: &RunConfig) -> Result<(JunitSuite, u64), Strin
 }
 
 fn cmd_replay(args: &[String]) -> Result<u8, String> {
-    let [path] = args else {
-        return Err("replay takes exactly one reproducer file".to_string());
-    };
+    let flags = Flags::new("afta-fuzz replay", args, &["<FILE>"]);
+    let path = flags.positional("<FILE>");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let reproducer = Reproducer::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let cfg = RunConfig::from_env();
@@ -270,26 +253,24 @@ fn cmd_replay(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_shrink(args: &[String]) -> Result<u8, String> {
-    let mut args = args.to_vec();
-    let seed = master_seed(take_flag(&mut args, "--seed")?)?;
-    let index = match take_flag(&mut args, "--index")? {
-        Some(n) => Some(n.parse::<u64>().map_err(|_| "bad --index".to_string())?),
-        None => None,
-    };
-    let max_steps = match take_flag(&mut args, "--max-steps")? {
-        Some(n) => n
-            .parse::<u64>()
-            .map_err(|_| "bad --max-steps".to_string())?,
-        None => DEFAULT_MAX_STEPS,
-    };
-    let profile = match take_flag(&mut args, "--profile")? {
-        Some(p) => parse_profile(&p)?,
-        None => Profile::Wild,
-    };
-    let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
-    if !args.is_empty() {
-        return Err(format!("unexpected arguments: {args:?}"));
-    }
+    let flags = Flags::new(
+        "afta-fuzz shrink",
+        args,
+        &[
+            "--seed HEX|DEC",
+            "--index I",
+            "--max-steps M",
+            "--profile battery|wild",
+            "--out PATH",
+        ],
+    );
+    let seed = flags.seed(DEFAULT_SEED);
+    let index = flags.get("--index", |n| n.parse::<u64>().ok());
+    let max_steps = flags.num("--max-steps", DEFAULT_MAX_STEPS);
+    let profile = flags
+        .get("--profile", parse_profile)
+        .unwrap_or(Profile::Wild);
+    let out = flags.text("--out").map(PathBuf::from);
 
     let schedule_seed = match index {
         Some(index) => SeedFactory::new(seed).shard_seed(index),
@@ -297,14 +278,14 @@ fn cmd_shrink(args: &[String]) -> Result<u8, String> {
     };
     let schedule: Schedule = generate(schedule_seed, max_steps, profile);
     let cfg = RunConfig::from_env();
-    let flags = BugFlags::default();
-    let report = run_schedule(&schedule, &flags, &cfg, &Registry::disabled());
+    let bugs = BugFlags::default();
+    let report = run_schedule(&schedule, &bugs, &cfg, &Registry::disabled());
     let Some(first) = report.violations.first() else {
         println!("schedule 0x{schedule_seed:016x} passes every invariant; nothing to shrink");
         return Ok(0);
     };
     println!("violation: {first}");
-    let outcome = shrink(&schedule, first.invariant, &flags, &cfg)
+    let outcome = shrink(&schedule, first.invariant, &bugs, &cfg)
         .expect("initial run already violated the target");
     for line in &outcome.trace {
         println!("shrink: {line}");

@@ -66,9 +66,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         list_rules: false,
         help: false,
     };
+    let mut format_given = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            // One `--format` only; the level flags repeat and apply in order.
+            "--format" if format_given => return Err("--format is given twice".to_string()),
             "--format" => {
                 let value = it.next().ok_or("--format needs a value")?;
                 opts.format = match value.as_str() {
@@ -76,6 +79,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "json" => Format::Json,
                     other => return Err(format!("unknown format `{other}`")),
                 };
+                format_given = true;
             }
             "--deny" => {
                 let value = it.next().ok_or("--deny needs a value")?;

@@ -111,3 +111,29 @@ fn help_exits_zero() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("usage: afta-lint"));
 }
+
+#[test]
+fn a_repeated_format_is_a_usage_error_and_level_flags_repeat() {
+    let out = afta_lint(&[
+        "--format",
+        "json",
+        "--format",
+        "text",
+        &manifest("ariane.json"),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--format"), "stderr:\n{stderr}");
+    assert!(out.stdout.is_empty());
+    // The level flags apply in order: the last word on a rule wins.
+    let out = afta_lint(&[
+        "--allow",
+        "AFTA-H003",
+        "--deny",
+        "AFTA-H003",
+        "--allow",
+        "AFTA-H003",
+        &manifest("ariane.json"),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+}

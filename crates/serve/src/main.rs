@@ -12,7 +12,7 @@ use afta_serve::experiment::{
 use afta_serve::{
     Body, Frame, Reactor, ReactorConfig, Reply, Request, ServeConfig, TenantId, CLI_HELP,
 };
-use afta_sim::parse_seed;
+use afta_sim::Flags;
 use afta_telemetry::Registry;
 
 fn main() -> ExitCode {
@@ -30,98 +30,22 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match command(&args[1..]) {
-        Ok(code) => code,
-        Err(refusal) => {
-            eprintln!(
-                "afta-serve {}: {refusal} (`afta-serve help` lists the flags)",
-                args[0]
-            );
-            ExitCode::from(2)
-        }
-    }
+    command(&args[1..])
 }
 
-/// A subcommand's command line: `--flag value` pairs, every flag one the
-/// subcommand takes.  A subcommand reads all of its flags before it
-/// binds or runs anything, so a refused command line does nothing.
-struct Flags<'a>(Vec<(&'a str, &'a str)>);
-
-impl<'a> Flags<'a> {
-    /// Pairs each flag in `args` with the value after it.
-    ///
-    /// # Errors
-    ///
-    /// A flag that is not in `known`, one with no value after it, or one
-    /// given twice.
-    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
-        let mut flags = Flags(Vec::new());
-        let mut args = args.iter().map(String::as_str);
-        while let Some(flag) = args.next() {
-            if !known.contains(&flag) {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            if flags.get(flag).is_some() {
-                return Err(format!("{flag} is given twice"));
-            }
-            flags.0.push((flag, value));
-        }
-        Ok(flags)
+/// [`Flags::num`] for a count of tenants or clients, which must be at
+/// least 1: with none there is nothing to serve or compare.
+fn count<T: std::str::FromStr + From<u8> + PartialEq>(flags: &Flags, name: &str, default: T) -> T {
+    let value = flags.num(name, default);
+    if value == T::from(0) {
+        flags.refuse(&format!("{name}: needs at least 1, not 0"));
     }
-
-    /// The value after `name`, if it was given.
-    fn get(&self, name: &str) -> Option<&'a str> {
-        self.0
-            .iter()
-            .find(|&&(flag, _)| flag == name)
-            .map(|&(_, value)| value)
-    }
-
-    /// The number after `name`, or `default` when it was not given.
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        self.get(name).map_or(Ok(default), |value| {
-            value.parse().map_err(|_| {
-                let ty = std::any::type_name::<T>();
-                format!("{name}: {value:?} does not parse as a {ty}")
-            })
-        })
-    }
-
-    /// [`Flags::num`] for a count of tenants or clients, which must be
-    /// at least 1: with none there is nothing to serve or compare.
-    fn count<T: std::str::FromStr + From<u8> + PartialEq>(
-        &self,
-        name: &str,
-        default: T,
-    ) -> Result<T, String> {
-        let value = self.num(name, default)?;
-        if value == T::from(0) {
-            return Err(format!("{name}: needs at least 1, not 0"));
-        }
-        Ok(value)
-    }
-
-    /// Seed resolution order: `--seed`, then `AFTA_SEED`, then `default`,
-    /// each read by [`parse_seed`] (decimal or `0x`-hex).  A malformed
-    /// `--seed` is refused; an unset or malformed `AFTA_SEED` gives
-    /// `default`.
-    fn seed(&self, default: u64) -> Result<u64, String> {
-        match self.get("--seed") {
-            Some(value) => parse_seed(value)
-                .ok_or_else(|| format!("--seed: {value:?} is neither decimal nor 0x-hex")),
-            None => Ok(std::env::var("AFTA_SEED")
-                .ok()
-                .as_deref()
-                .and_then(parse_seed)
-                .unwrap_or(default)),
-        }
-    }
+    value
 }
 
 /// Writes `value` as JSON to `--json PATH` when the flag is present.
-fn write_json<T: serde::Serialize>(flags: &Flags<'_>, value: &T) -> ExitCode {
-    if let Some(path) = flags.get("--json") {
+fn write_json<T: serde::Serialize>(flags: &Flags, value: &T) -> ExitCode {
+    if let Some(path) = flags.text("--json") {
         let rendered = serde_json::to_string_pretty(value).expect("report serializes");
         if let Err(e) = std::fs::write(path, rendered) {
             eprintln!("cannot write {path}: {e}");
@@ -155,27 +79,28 @@ struct SoakJson {
 }
 
 /// `afta-serve serve`: bind the reactor and host tenants until killed.
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+fn cmd_serve(args: &[String]) -> ExitCode {
+    let flags = Flags::new(
+        "afta-serve serve",
         args,
         &[
-            "--addr",
-            "--max-connections",
-            "--workers",
-            "--max-tenants",
-            "--mailbox-cap",
-            "--retry-after-ms",
+            "--addr HOST:PORT",
+            "--max-connections N",
+            "--workers N",
+            "--max-tenants N",
+            "--mailbox-cap N",
+            "--retry-after-ms N",
         ],
-    )?;
-    let addr = flags.get("--addr").unwrap_or("127.0.0.1:0");
+    );
+    let addr = flags.text("--addr").unwrap_or("127.0.0.1:0");
     let reactor_config = ReactorConfig {
-        max_connections: flags.num("--max-connections", 16_384)?,
-        workers: flags.num("--workers", 4)?,
+        max_connections: flags.num("--max-connections", 16_384),
+        workers: flags.num("--workers", 4),
     };
     let serve_config = ServeConfig {
-        max_tenants: flags.num("--max-tenants", 256)?,
-        default_mailbox_cap: flags.num("--mailbox-cap", 64)?,
-        retry_after_ms: flags.num("--retry-after-ms", 25)?,
+        max_tenants: flags.num("--max-tenants", 256),
+        default_mailbox_cap: flags.num("--mailbox-cap", 64),
+        retry_after_ms: flags.num("--retry-after-ms", 25),
         ..ServeConfig::default()
     };
     let registry = Registry::new();
@@ -183,7 +108,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
-            return Ok(ExitCode::FAILURE);
+            return ExitCode::FAILURE;
         }
     };
     println!("afta-serve listening on {}", reactor.local_addr());
@@ -200,26 +125,27 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `afta-serve e8`: the differential, on one or both backends.
-fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+fn cmd_e8(args: &[String]) -> ExitCode {
+    let flags = Flags::new(
+        "afta-serve e8",
         args,
         &[
-            "--transport",
-            "--tenants",
-            "--clients",
-            "--rounds",
-            "--seed",
-            "--json",
+            "--transport sim|tcp|both",
+            "--tenants N",
+            "--clients N",
+            "--rounds N",
+            "--seed S",
+            "--json PATH",
         ],
-    )?;
+    );
     let config = ServeExperimentConfig {
-        seed: flags.seed(42)?,
-        tenants: flags.count("--tenants", 8)?,
-        clients: flags.count("--clients", 16)?,
-        rounds: flags.num("--rounds", 12)?,
+        seed: flags.seed(42),
+        tenants: count(&flags, "--tenants", 8),
+        clients: count(&flags, "--clients", 16),
+        rounds: flags.num("--rounds", 12),
         ..ServeExperimentConfig::default()
     };
-    let which = flags.get("--transport").unwrap_or("both");
+    let which = flags.text("--transport").unwrap_or("both");
     let registry = Registry::new();
     let run = |kind: TransportKind| {
         run_serve_experiment(
@@ -246,7 +172,7 @@ fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
             r.combined, r.rounds, r.clashes, r.rejects
         );
     };
-    Ok(match which {
+    match which {
         "sim" | "tcp" => {
             let kind: TransportKind = which.parse().expect("validated above");
             let report = run(kind);
@@ -278,8 +204,8 @@ fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
                 ExitCode::FAILURE
             }
         }
-        other => return Err(format!("--transport: {other:?} is not sim, tcp or both")),
-    })
+        other => flags.refuse(&format!("--transport: {other:?} is not sim, tcp or both")),
+    }
 }
 
 /// `afta-serve soak`: open N concurrent connections against an
@@ -290,23 +216,24 @@ fn cmd_e8(args: &[String]) -> Result<ExitCode, String> {
 /// Every connection is a [`TcpClient`], so a failed connect or write,
 /// or a reply that misses its read timeout, panics and fails the run.
 #[allow(clippy::too_many_lines)]
-fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+fn cmd_soak(args: &[String]) -> ExitCode {
+    let flags = Flags::new(
+        "afta-serve soak",
         args,
         &[
-            "--connections",
-            "--tenants",
-            "--frames",
-            "--workers",
-            "--timeout-ms",
-            "--json",
+            "--connections N",
+            "--tenants N",
+            "--frames N",
+            "--workers N",
+            "--timeout-ms N",
+            "--json PATH",
         ],
-    )?;
-    let connections: usize = flags.num("--connections", 10_000)?;
-    let tenants: u16 = flags.count("--tenants", 8)?;
-    let frames: u32 = flags.num("--frames", 1)?;
-    let workers: usize = flags.num("--workers", 4)?;
-    let timeout = Duration::from_millis(flags.num("--timeout-ms", 60_000)?);
+    );
+    let connections: usize = flags.num("--connections", 10_000);
+    let tenants: u16 = count(&flags, "--tenants", 8);
+    let frames: u32 = flags.num("--frames", 1);
+    let workers: usize = flags.num("--workers", 4);
+    let timeout = Duration::from_millis(flags.num("--timeout-ms", 60_000));
 
     let registry = Registry::new();
     let reactor_config = ReactorConfig {
@@ -323,7 +250,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot bind the soak reactor: {e}");
-            return Ok(ExitCode::FAILURE);
+            return ExitCode::FAILURE;
         }
     };
     let addr = reactor.local_addr();
@@ -348,7 +275,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
                 Body::Reply(Reply::Registered { tenant }) => assert_eq!(tenant, t),
                 other => {
                     eprintln!("soak tenant {t} registration refused: {other:?}");
-                    return Ok(ExitCode::FAILURE);
+                    return ExitCode::FAILURE;
                 }
             }
         }
@@ -373,7 +300,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
                     conns.len(),
                     started.elapsed()
                 );
-                return Ok(ExitCode::FAILURE);
+                return ExitCode::FAILURE;
             }
             std::thread::sleep(Duration::from_micros(100));
         }
@@ -416,7 +343,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
                 connections - i - 1,
                 started.elapsed()
             );
-            return Ok(ExitCode::FAILURE);
+            return ExitCode::FAILURE;
         }
     }
 
@@ -453,12 +380,12 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     let held_them_all = peak >= i64::try_from(connections).unwrap_or(i64::MAX);
     if no_lost_shard && held_them_all {
         println!("soak: NoLostShard holds");
-        Ok(code)
+        code
     } else {
         eprintln!(
             "soak FAILED: lost={lost} digest_observes={digest_observes} observed={observed} \
              peak={peak}/{connections}"
         );
-        Ok(ExitCode::FAILURE)
+        ExitCode::FAILURE
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `afta-serve` command line: each subcommand
 //! refuses an unknown flag, a flag without a value, a flag given twice,
-//! a value that does not parse and a zero count of tenants or clients,
-//! exiting 2 with a message that names the flag before it binds or runs
-//! anything, and every flag it took before still runs.
+//! a value that does not parse (a malformed `AFTA_SEED` too) and a zero
+//! count of tenants or clients, exiting 2 with a message that names the
+//! flag before it binds or runs anything, and every flag it took before
+//! still runs.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -83,16 +84,27 @@ fn each_subcommand_refuses_what_it_cannot_parse() {
         ),
     ];
     for &(args, flag) in cases {
-        let out = run(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{args:?} ran: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+        assert_refused(args, &run(args), flag);
     }
+    // A malformed AFTA_SEED, which `e8` reads when no `--seed` is given,
+    // is refused as a malformed `--seed` is, not run as the default.
+    let out = afta_serve(&["e8"])
+        .env("AFTA_SEED", "zz")
+        .output()
+        .expect("run afta-serve");
+    assert_refused(&["AFTA_SEED=zz", "e8"], &out, "AFTA_SEED");
+}
+
+/// `args` exited 2, naming `flag`, and printed nothing on stdout.
+fn assert_refused(args: &[&str], out: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} ran: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]

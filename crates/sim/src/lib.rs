@@ -10,7 +10,9 @@
 //! * a deterministic, named random-number-stream factory ([`SeedFactory`])
 //!   so that independent subsystems draw from independent but reproducible
 //!   streams, with [`parse_seed`] reading a master seed from text such as
-//!   `AFTA_SEED`, and
+//!   `AFTA_SEED`,
+//! * the command-line reader of the workspace's binaries ([`Flags`]),
+//!   which resolves a run's seed from `--seed`, then `AFTA_SEED`, and
 //! * lightweight statistics helpers ([`stats::Histogram`],
 //!   [`stats::Summary`], [`stats::TimeWeighted`]).
 //!
@@ -41,9 +43,11 @@
 
 pub mod clock;
 pub mod events;
+pub mod flags;
 pub mod rng;
 pub mod stats;
 
 pub use clock::{SkewedClock, Tick, VirtualClock};
 pub use events::Scheduler;
+pub use flags::Flags;
 pub use rng::{fnv1a_64, parse_seed, SeedFactory, FNV_OFFSET};
